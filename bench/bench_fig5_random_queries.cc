@@ -7,10 +7,9 @@
 //     documents cannot be told apart structurally;
 //   * DBLP: a moderate gap (~14% in the paper).
 //
-// A second table A/Bs the two probe engines (IndexOptions::probe_engine)
-// over the same query stream: per-probe cost distribution (p50/p95/p99 in
-// microseconds) and total index work (B+-tree entries scanned vs kd-tree
-// nodes visited), with the B+-tree as the baseline.
+// A second table reports the B+-tree probe cost over the same query
+// stream: per-probe latency distribution (p50/p95/p99 in microseconds) and
+// total index work (B+-tree entries scanned).
 
 #include <algorithm>
 #include <chrono>
@@ -46,11 +45,10 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-struct EngineRow {
+struct ProbeRow {
   std::string dataset;
-  const char* engine;
   uint64_t probes = 0;
-  uint64_t work = 0;  // entries scanned (btree) / nodes visited (spatial)
+  uint64_t work = 0;  // B+-tree entries scanned
   double p50 = 0, p95 = 0, p99 = 0;
 };
 
@@ -61,7 +59,7 @@ void Run() {
                  "queries_with_false_neg", "paper_sel", "paper_pp",
                  "paper_fpr"});
 
-  std::vector<EngineRow> engine_rows;
+  std::vector<ProbeRow> probe_rows;
   for (const PaperAvg& paper : kPaper) {
     auto corpus = BuildCorpus(paper.data);
     auto index = BuildFix(corpus.get(), paper.data, /*clustered=*/false, 0,
@@ -95,46 +93,42 @@ void Run() {
                 avg_pp, avg_fpr, Num(with_fn), paper.paper_sel,
                 paper.paper_pp, paper.paper_fpr});
 
-    // Per-engine probe cost over the same stream: probe the first pure
-    // subtwig of each query through both engines (the production path the
-    // query processor takes before refinement).
-    for (ProbeEngine engine : {ProbeEngine::kBTree, ProbeEngine::kSpatial}) {
-      EngineRow row;
-      row.dataset = DataSetName(paper.data);
-      row.engine = engine == ProbeEngine::kBTree ? "btree" : "spatial";
-      std::vector<double> probe_us;
-      probe_us.reserve(queries.size());
-      for (const auto& q : queries) {
-        auto parts = DecomposeAtDescendantEdges(q);
-        auto start = std::chrono::steady_clock::now();
-        auto lookup = index->ProbeWithEngine(parts[0],
-                                             /*use_root_label=*/true, engine);
-        auto stop = std::chrono::steady_clock::now();
-        FIX_CHECK(lookup.ok());
-        probe_us.push_back(
-            std::chrono::duration<double, std::micro>(stop - start).count());
-        row.work += lookup->entries_scanned;
-        ++row.probes;
-      }
-      std::sort(probe_us.begin(), probe_us.end());
-      row.p50 = Percentile(probe_us, 0.50);
-      row.p95 = Percentile(probe_us, 0.95);
-      row.p99 = Percentile(probe_us, 0.99);
-      engine_rows.push_back(std::move(row));
+    // Probe cost over the same stream: probe the first pure subtwig of
+    // each query (the production path the query processor takes before
+    // refinement).
+    ProbeRow row;
+    row.dataset = DataSetName(paper.data);
+    std::vector<double> probe_us;
+    probe_us.reserve(queries.size());
+    for (const auto& q : queries) {
+      auto parts = DecomposeAtDescendantEdges(q);
+      auto start = std::chrono::steady_clock::now();
+      auto lookup = index->Probe(parts[0], /*use_root_label=*/true);
+      auto stop = std::chrono::steady_clock::now();
+      FIX_CHECK(lookup.ok());
+      probe_us.push_back(
+          std::chrono::duration<double, std::micro>(stop - start).count());
+      row.work += lookup->entries_scanned;
+      ++row.probes;
     }
+    std::sort(probe_us.begin(), probe_us.end());
+    row.p50 = Percentile(probe_us, 0.50);
+    row.p95 = Percentile(probe_us, 0.95);
+    row.p99 = Percentile(probe_us, 0.99);
+    probe_rows.push_back(std::move(row));
   }
 
-  report.Section("probe engines (same 1000 queries; work = entries scanned "
-                 "for btree, kd nodes visited for spatial)");
-  report.Header({"dataset", "engine", "probes", "probe_work", "probe_p50_us",
+  report.Section("B+-tree probe cost (same 1000 queries; work = entries "
+                 "scanned)");
+  report.Header({"dataset", "probes", "probe_work", "probe_p50_us",
                  "probe_p95_us", "probe_p99_us"});
-  for (const EngineRow& row : engine_rows) {
+  for (const ProbeRow& row : probe_rows) {
     char p50[16], p95[16], p99[16];
     std::snprintf(p50, sizeof(p50), "%.1f", row.p50);
     std::snprintf(p95, sizeof(p95), "%.1f", row.p95);
     std::snprintf(p99, sizeof(p99), "%.1f", row.p99);
-    report.Row({row.dataset, row.engine, Num(row.probes), Num(row.work),
-                p50, p95, p99});
+    report.Row({row.dataset, Num(row.probes), Num(row.work), p50, p95,
+                p99});
   }
   report.Note(
       "queries_with_false_neg counts random queries where paper-mode "

@@ -106,7 +106,7 @@ void Run() {
     FixQueryProcessor uproc(corpus.get(), &*uidx);
     uint64_t fix_nodes = 0;
     double fixu_ms = MedianMs([&] {
-      auto s = uproc.Execute(q, nullptr, RefineMode::kBatch);
+      auto s = uproc.Execute(q);
       FIX_CHECK(s.ok());
       fix_nodes = s->nodes_visited;
     });

@@ -119,19 +119,6 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
       options.build_threads = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--cache-mb" && i + 1 < argc) {
       options.feature_cache_mb = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--probe-engine" && i + 1 < argc) {
-      std::string engine = argv[++i];
-      if (engine == "btree") {
-        options.probe_engine = fix::ProbeEngine::kBTree;
-      } else if (engine == "spatial") {
-        options.probe_engine = fix::ProbeEngine::kSpatial;
-      } else if (engine == "auto") {
-        options.probe_engine = fix::ProbeEngine::kAuto;
-      } else {
-        std::fprintf(stderr, "fixctl build: unknown probe engine '%s'\n",
-                     engine.c_str());
-        return Usage();
-      }
     } else if (arg == "--shards" && i + 1 < argc) {
       shards = static_cast<uint32_t>(std::atoi(argv[++i]));
       if (shards == 0) {
@@ -378,12 +365,6 @@ int CmdStats(const std::string& dir, const std::string& format) {
                   index->options().depth_limit,
                   index->options().clustered ? ", clustered" : "",
                   index->options().value_beta > 0 ? ", values" : "");
-      const char* engine_names[] = {"btree", "spatial", "auto"};
-      auto spatial = index->spatial_probe();
-      std::printf("probe:     engine %s, spatial %s\n",
-                  engine_names[static_cast<uint32_t>(
-                      index->options().probe_engine)],
-                  spatial ? "resident" : "not resident (B+-tree fallback)");
     } else {
       std::printf("index:     (none built)\n");
     }

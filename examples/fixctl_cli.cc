@@ -15,8 +15,6 @@ const CliFlag kBuildFlags[] = {
                          "negatives under quotienting)"},
     {"--threads", "N", "build worker threads (0 = hardware concurrency)"},
     {"--cache-mb", "M", "spectral feature cache budget in MiB (0 = off)"},
-    {"--probe-engine", "btree|spatial|auto",
-     "containment probe engine (auto = spatial when resident, persisted)"},
     {"--shards", "N",
      "partition into N hash shards and build each shard's index in "
      "parallel (sharded layout; query/stats auto-detect it)"},

@@ -130,7 +130,6 @@ void Database::QuarantineIndex(const std::string& name, const Status& why) {
   QuarantineFile(path + ".meta");
   QuarantineFile(path + ".data");
   QuarantineFile(path + ".wal");
-  QuarantineFile(path + ".spatial");
   {
     MutexLock lock(health_mu_);
     ++health_.quarantined_indexes;
@@ -141,8 +140,7 @@ void Database::QuarantineIndex(const std::string& name, const Status& why) {
 Status Database::AttachOrQuarantine(const std::string& name) {
   auto opened =
       FixIndex::Open(&corpus_, IndexPath(name), open_options_.page_io_factory,
-                     open_options_.wal_io_factory,
-                     /*load_spatial_sidecar=*/open_options_.verify_on_attach);
+                     open_options_.wal_io_factory);
   Status failure = opened.status();
   if (opened.ok()) {
     auto idx = std::make_shared<FixIndex>(std::move(opened).value());
@@ -224,8 +222,7 @@ Result<FixIndex*> Database::AttachIndex(const std::string& name) {
 Result<FixIndex*> Database::RebuildIndex(const std::string& name,
                                          IndexOptions options,
                                          BuildStats* stats) {
-  static constexpr const char* kParts[] = {"", ".meta", ".data", ".wal",
-                                           ".spatial"};
+  static constexpr const char* kParts[] = {"", ".meta", ".data", ".wal"};
   const std::string path = IndexPath(name);
   const std::string side = path + ".rebuild";
   // Build the replacement at a side path while the old index (if any) keeps

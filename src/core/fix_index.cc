@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -51,21 +52,6 @@ FeatureKey MakeKey(LabelId label, const EigPair& eigs) {
   key.lambda_min = eigs.lambda_min;
   key.lambda2 = eigs.lambda2;
   return key;
-}
-
-Counter* SpatialRebuilds() {
-  static Counter* c = MetricsRegistry::Instance().FindOrCreateCounter(
-      "fix.index.spatial.rebuilds", "ops",
-      "spatial probe structure builds/refreshes published to readers");
-  return c;
-}
-
-Counter* SpatialSidecarFailures() {
-  static Counter* c = MetricsRegistry::Instance().FindOrCreateCounter(
-      "fix.index.spatial.sidecar_failures", "ops",
-      "spatial sidecar load/write/refresh failures (probe engine degraded "
-      "to the B+-tree)");
-  return c;
 }
 
 // Registry fold of one finished bulk build (docs/OBSERVABILITY.md).
@@ -208,9 +194,6 @@ Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
   // write.
   index.indexed_docs_ = corpus->num_docs();
   FIX_RETURN_IF_ERROR(index.WriteMeta());
-  // Best effort like the page-file flush above: a missing sidecar merely
-  // costs the next Open an engine fallback (or a refresh at first commit).
-  index.PersistSpatial();
 
   stats->construction_seconds = timer.ElapsedSeconds();
   stats->entries = index.btree_->num_entries();
@@ -414,11 +397,6 @@ Status FixIndex::BuildPipeline(BuildStats* stats) {
     }
   }
   FIX_RETURN_IF_ERROR(btree_->BulkLoad(kv));
-  // The spatial probe engine attaches from the same sorted stream the tree
-  // just loaded — no second B+-tree scan. Build persists it after the meta.
-  AttachSpatial(std::make_shared<const SpatialProbe>(
-      SpatialProbe::FromSortedEntries(kv, btree_->generation())));
-  SpatialRebuilds()->Increment();
 
   if (stats != nullptr && cache_ptr != nullptr) {
     FeatureCacheStats cs = cache.Stats();
@@ -534,10 +512,6 @@ Status FixIndex::CommitBatch(
   // propagate (fail-stop) rather than being papered over.
   FIX_RETURN_IF_ERROR(btree_->Checkpoint());
   FIX_RETURN_IF_ERROR(WriteMeta());
-  // Publish a spatial snapshot of the new generation (readers pinned to
-  // the previous one keep it alive via their shared_ptr copies). Refresh
-  // failures degrade the probe engine, never the committed batch.
-  RefreshSpatial();
   return wal_.Reset();
 }
 
@@ -669,8 +643,11 @@ Status FixIndex::WriteMeta() const {
 Result<FixIndex> FixIndex::Open(
     Corpus* corpus, const std::string& path,
     const std::function<std::unique_ptr<PageIo>()>& page_io_factory,
-    const std::function<std::unique_ptr<PageIo>()>& wal_io_factory,
-    bool load_spatial_sidecar) {
+    const std::function<std::unique_ptr<PageIo>()>& wal_io_factory) {
+  // Indexes written before meta v5 kept a kd-tree probe cache beside the
+  // B+-tree. Nothing reads it any more; unlink it so an upgraded index does
+  // not carry its bytes forever.
+  std::remove((path + kLegacyKdTreeSuffix).c_str());
   std::string meta_buf;
   FIX_ASSIGN_OR_RETURN(meta_buf, ReadFile(path + ".meta"));
   IndexMeta meta;
@@ -747,30 +724,6 @@ Result<FixIndex> FixIndex::Open(
     index.value_hasher_ = std::make_unique<ValueHasher>(
         corpus->labels(), meta.options.value_beta);
   }
-  if (dirty) {
-    // Recovery already walked the whole tree; whatever sidecar is on disk
-    // may describe the pre-crash generation, so rebuild and re-persist.
-    index.RefreshSpatial();
-  } else if (load_spatial_sidecar) {
-    // Clean open: adopt the sidecar only if it matches the tree exactly.
-    // Missing => quiet engine fallback (pre-sidecar index); corrupt or
-    // stale => quarantine-style fallback with the damage counted — never a
-    // wrong candidate set, and the next commit rewrites it. Callers that
-    // skip attach verification skip this load too (it reads and checks the
-    // whole sidecar), so a fast open probes through the B+-tree.
-    auto loaded = SpatialProbe::LoadSidecar(path + ".spatial", nullptr);
-    if (loaded.ok()) {
-      if (loaded->generation() == index.btree_->generation() &&
-          loaded->total() == index.btree_->num_entries()) {
-        index.AttachSpatial(std::make_shared<const SpatialProbe>(
-            std::move(loaded).value()));
-      } else {
-        SpatialSidecarFailures()->Increment();
-      }
-    } else if (!loaded.status().IsNotFound()) {
-      SpatialSidecarFailures()->Increment();
-    }
-  }
   return index;
 }
 
@@ -840,126 +793,22 @@ Result<FeatureKey> FixIndex::QueryFeatures(const TwigQuery& subtwig) {
 
 Result<FixIndex::LookupResult> FixIndex::Probe(const TwigQuery& subtwig,
                                                bool use_root_label) {
-  return ProbeWithEngine(subtwig, use_root_label, options_.probe_engine);
-}
-
-Result<FixIndex::LookupResult> FixIndex::ProbeWithEngine(
-    const TwigQuery& subtwig, bool use_root_label, ProbeEngine engine) {
   MetricsRegistry& registry = MetricsRegistry::Instance();
   static Counter* probes = registry.FindOrCreateCounter(
       "fix.index.probe.count", "ops", "containment range probes");
   static Histogram* probe_us = registry.FindOrCreateHistogram(
       "fix.index.probe_us", "us", "containment probe latency");
-  static Counter* engine_btree = registry.FindOrCreateCounter(
-      "fix.index.probe.engine.btree", "ops",
-      "probes answered by the B+-tree engine");
-  static Counter* engine_spatial = registry.FindOrCreateCounter(
-      "fix.index.probe.engine.spatial", "ops",
-      "probes answered by the spatial (kd-tree) engine");
   TraceSpan span("index.probe");
   Timer timer;
   FeatureKey probe;
   FIX_ASSIGN_OR_RETURN(probe, QueryFeatures(subtwig));
-
-  std::shared_ptr<const SpatialProbe> spatial;
-  if (engine != ProbeEngine::kBTree) {
-    MutexLock lock(*spatial_mu_);
-    spatial = spatial_;
-  }
   LookupResult out;
-  if (spatial != nullptr) {
-    // The snapshot stays pinned for this probe even if a concurrent commit
-    // publishes a successor — same discipline as the B+-tree generation.
-    out = ProbeSpatial(*spatial, probe, use_root_label);
-    engine_spatial->Increment();
-  } else {
-    // kBTree, or kSpatial/kAuto with nothing resident (missing/corrupt
-    // sidecar, failed refresh): the B+-tree always answers. A degraded
-    // engine choice can cost time, never correctness.
-    FIX_ASSIGN_OR_RETURN(out, ProbeBTree(probe, use_root_label));
-    engine_btree->Increment();
-  }
+  FIX_ASSIGN_OR_RETURN(out, ProbeBTree(probe, use_root_label));
   probes->Increment();
   probe_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-  span.AddAttr("engine", spatial != nullptr ? std::string_view("spatial")
-                                            : std::string_view("btree"));
   span.AddAttr("entries_scanned", out.entries_scanned);
   span.AddAttr("candidates", static_cast<uint64_t>(out.candidates.size()));
   return out;
-}
-
-FixIndex::LookupResult FixIndex::ProbeSpatial(const SpatialProbe& spatial,
-                                              const FeatureKey& probe,
-                                              bool use_root_label) {
-  MetricsRegistry& registry = MetricsRegistry::Instance();
-  static Counter* visited_total = registry.FindOrCreateCounter(
-      "fix.index.spatial.visited", "nodes",
-      "kd-tree nodes visited by spatial probes");
-  static Histogram* visited_hist = registry.FindOrCreateHistogram(
-      "fix.index.spatial.visited_nodes", "nodes",
-      "kd-tree nodes visited per spatial probe");
-  const double eps = options_.epsilon;
-  // The bounds are the SAME expressions ProbeBTree encodes into its memcmp
-  // slices; comparing their ord-u64 images is memcmp on the encoded key,
-  // which is what makes the two engines byte-identical.
-  SpatialProbe::Filter filter;
-  filter.min_lmax = OrderPreservingDouble(probe.lambda_max - eps);
-  filter.max_lmin = OrderPreservingDouble(probe.lambda_min + eps);
-  if (options_.use_lambda2 && !options_.sound_probe) {
-    filter.min_l2 = OrderPreservingDouble(probe.lambda2 - eps);
-  }
-  uint64_t visited = 0;
-  std::vector<SpatialProbe::Hit> hits;
-  if (use_root_label) {
-    spatial.Probe(probe.root_label, filter, &hits, &visited);
-  } else {
-    spatial.ProbeAll(filter, &hits, &visited);
-  }
-  LookupResult out;
-  // The probe-cost accounting under this engine: kd-tree nodes touched
-  // (the spatial analogue of B+-tree rows scanned).
-  out.entries_scanned = visited;
-  out.candidates.reserve(hits.size());
-  for (const SpatialProbe::Hit& h : hits) {
-    out.candidates.push_back(
-        Candidate{h.key, h.value.ref, h.value.clustered_offset});
-  }
-  visited_total->Add(visited);
-  visited_hist->Record(visited);
-  return out;
-}
-
-void FixIndex::AttachSpatial(std::shared_ptr<const SpatialProbe> probe) {
-  MutexLock lock(*spatial_mu_);
-  spatial_ = std::move(probe);
-}
-
-void FixIndex::RefreshSpatial() {
-  auto rebuilt = SpatialProbe::FromBTree(btree_.get());
-  if (!rebuilt.ok()) {
-    // A failed refresh costs pruning power only: clear the snapshot so new
-    // probes fall back to the B+-tree instead of serving a generation
-    // behind. Readers that already copied the old snapshot finish on it.
-    AttachSpatial(nullptr);
-    SpatialSidecarFailures()->Increment();
-    return;
-  }
-  AttachSpatial(std::make_shared<const SpatialProbe>(
-      std::move(rebuilt).value()));
-  SpatialRebuilds()->Increment();
-  PersistSpatial();
-}
-
-void FixIndex::PersistSpatial() {
-  std::shared_ptr<const SpatialProbe> snapshot = spatial_probe();
-  if (snapshot == nullptr) return;
-  // Plain-file backend on purpose: the sidecar is a rebuildable cache, its
-  // CRC framing catches tears on load, and routing it through the data
-  // file's fault-injected factory would consume crash/tear budgets the
-  // recovery tests arm for B+-tree pages.
-  Status status =
-      snapshot->WriteSidecar(options_.path + ".spatial", nullptr);
-  if (!status.ok()) SpatialSidecarFailures()->Increment();
 }
 
 Result<FixIndex::LookupResult> FixIndex::ProbeBTree(const FeatureKey& probe,

@@ -31,7 +31,6 @@
 #include "core/histogram.h"
 #include "core/index_options.h"
 #include "core/persist.h"
-#include "core/spatial_probe.h"
 #include "query/twig_query.h"
 #include "spectral/edge_encoder.h"
 #include "spectral/feature_cache.h"
@@ -56,11 +55,7 @@ namespace fix {
 /// the writer. The one mutable piece shared by both sides, the edge-weight
 /// encoder, is serialized by an internal mutex (an unseen pair can never
 /// match indexed data, so interleaved interning cannot change any result
-/// set). The spatial probe structure follows the same snapshot discipline
-/// as the B+-tree: readers copy an immutable shared_ptr under a second
-/// internal mutex, the writer publishes a fresh structure per committed
-/// generation, and in-flight probes keep the snapshot they started with.
-/// Build and EstimateCandidates (which lazily builds the costing
+/// set). Build and EstimateCandidates (which lazily builds the costing
 /// histogram) remain writer-exclusive: they must not overlap with each
 /// other, with the single writer, or with reads. Build() parallelizes
 /// internally (per IndexOptions::build_threads) but returns a fully
@@ -117,14 +112,9 @@ class FixIndex {
   /// and sequence counter), torn tails are discarded, pages unreachable
   /// from the adopted root are recycled (restamped as blank pages if the
   /// crash left them torn), and the log is reset once the recovered state
-  /// has been checkpointed into the data file and sidecar.
-  ///
-  /// `load_spatial_sidecar` gates adoption of the `.spatial` kd-tree
-  /// sidecar on a clean open. It is a verification pass in its own right
-  /// (full-file CRC + topology walk), so fast opens that skip attach
-  /// verification (`Database::OpenOptions::verify_on_attach = false`) skip
-  /// it too — probes stay on the B+-tree engine until the next commit
-  /// refreshes the snapshot.
+  /// has been checkpointed into the data file and sidecar. A kd-tree file
+  /// left by an index written before meta v5 (kLegacyKdTreeSuffix) is
+  /// unlinked.
   ///
   /// @pre `corpus` is non-null and is the corpus the index was built over.
   /// @return the reopened index, or NotFound (missing file), Corruption
@@ -134,8 +124,7 @@ class FixIndex {
       const std::function<std::unique_ptr<PageIo>()>& page_io_factory =
           nullptr,
       const std::function<std::unique_ptr<PageIo>()>& wal_io_factory =
-          nullptr,
-      bool load_spatial_sidecar = true);
+          nullptr);
 
   FixIndex(FixIndex&&) = default;
   FixIndex& operator=(FixIndex&&) = default;
@@ -164,16 +153,6 @@ class FixIndex {
   /// @return candidates of the single range scan, or Corruption/IOError.
   [[nodiscard]] Result<LookupResult> Probe(const TwigQuery& subtwig,
                              bool use_root_label = true);
-
-  /// Probe with an explicit engine override (A/B benches, parity tests).
-  /// ProbeEngine::kAuto — and a forced kSpatial with no resident spatial
-  /// structure — resolve to whatever is actually available: the spatial
-  /// snapshot when one is attached, the B+-tree otherwise. Both engines
-  /// return byte-identical candidate sets; only entries_scanned differs
-  /// (B+-tree rows touched vs kd-tree nodes visited).
-  [[nodiscard]] Result<LookupResult> ProbeWithEngine(const TwigQuery& subtwig,
-                                                     bool use_root_label,
-                                                     ProbeEngine engine);
 
   /// Computes the probe features of a pure twig query (pattern → matrix →
   /// eigenvalues). Exposed for diagnostics.
@@ -245,21 +224,6 @@ class FixIndex {
   uint64_t generation() const { return btree_->generation(); }
   /// The write-ahead log (diagnostics: fixctl, tests).
   const Wal& wal() const { return wal_; }
-
-  /// The currently published spatial probe snapshot (null when none is
-  /// resident and probes answer from the B+-tree). Safe from any thread;
-  /// the returned structure is immutable and generation-stamped, so a
-  /// caller may keep probing it across later commits.
-  std::shared_ptr<const SpatialProbe> spatial_probe() const {
-    MutexLock lock(*spatial_mu_);
-    return spatial_;
-  }
-  /// Runtime engine selection (benches flip this between quiesced sweeps;
-  /// it is NOT safe to call concurrently with probes — the persisted
-  /// setting comes from IndexOptions at build time).
-  void set_probe_engine(ProbeEngine engine) {
-    options_.probe_engine = engine;
-  }
 
   /// On-disk footprint: B+-tree bytes (+ clustered copy store bytes).
   uint64_t BTreeBytes() const { return btree_->SizeBytes(); }
@@ -345,7 +309,7 @@ class FixIndex {
   /// The single write path: applies `inserts` then `deletes` inside one COW
   /// batch and drives the commit protocol — PrepareCommit (flush + data
   /// fsync), WAL append (fsync'd; failure aborts the batch), publish,
-  /// checkpoint, sidecar rewrite, WAL reset. On success indexed_docs_ is
+  /// checkpoint, meta rewrite, WAL reset. On success indexed_docs_ is
   /// `new_indexed_docs`.
   [[nodiscard]] Status CommitBatch(
       const std::vector<std::pair<std::string, std::string>>& inserts,
@@ -356,25 +320,6 @@ class FixIndex {
   /// solved query feature key.
   [[nodiscard]] Result<LookupResult> ProbeBTree(const FeatureKey& probe,
                                                 bool use_root_label);
-
-  /// The kd-tree probe body against one pinned spatial snapshot; filter
-  /// bounds are converted with the same expressions ProbeBTree encodes, so
-  /// the candidate vectors come out byte-identical.
-  LookupResult ProbeSpatial(const SpatialProbe& spatial,
-                            const FeatureKey& probe, bool use_root_label);
-
-  /// Publishes `probe` as the spatial snapshot readers copy.
-  void AttachSpatial(std::shared_ptr<const SpatialProbe> probe);
-
-  /// Rebuilds the spatial structure from the current B+-tree generation,
-  /// publishes it, and rewrites the sidecar. Never fails the caller: on any
-  /// error the snapshot is cleared (probes fall back to the B+-tree) and
-  /// fix.index.spatial.sidecar_failures ticks.
-  void RefreshSpatial();
-
-  /// Persists the current snapshot at path + ".spatial" (best effort, same
-  /// failure policy as RefreshSpatial).
-  void PersistSpatial();
 
   /// Recovery sweep: walks the tree from the (possibly just-adopted) root,
   /// restamps unreachable pages whose blocks fail verification (torn relics
@@ -399,16 +344,6 @@ class FixIndex {
   /// Heap-allocated because FixIndex keeps its defaulted move operations.
   // LOCK-ORDER: 8 FixIndex::encoder_mu_
   std::unique_ptr<Mutex> encoder_mu_ = std::make_unique<Mutex>();
-  // `spatial_` is deliberately NOT FIX_GUARDED_BY(*spatial_mu_): the lock
-  // only covers the shared_ptr copy/swap (see the class comment); the
-  // pointee is immutable. Heap-allocated for the same defaulted-move
-  // reason as encoder_mu_. Never held together with any other lock.
-  // LOCK-ORDER: 8 FixIndex::spatial_mu_
-  std::unique_ptr<Mutex> spatial_mu_ = std::make_unique<Mutex>();
-  /// Per-label kd-trees over the current committed generation; null means
-  /// probes answer from the B+-tree (missing/corrupt sidecar, or a refresh
-  /// failure after a commit).
-  std::shared_ptr<const SpatialProbe> spatial_;
   std::unique_ptr<FeatureHistogram> histogram_;  // lazy; see EstimateCandidates
   uint32_t next_seq_ = 0;
   uint32_t indexed_docs_ = 0;  // see indexed_docs()

@@ -92,7 +92,7 @@ void RecordExecStats(const ExecStats& stats) {
   if (!stats.used_index) m.fullscans->Increment();
   if (!stats.covered) m.uncovered->Increment();
   if (stats.used_index) m.candidates->Add(stats.candidates);
-  if (stats.producing_valid) m.producing->Add(stats.producing);
+  m.producing->Add(stats.producing);
   m.results->Add(stats.result_count);
   m.entries_scanned->Add(stats.entries_scanned);
   m.nodes_visited->Add(stats.nodes_visited);
@@ -103,8 +103,7 @@ void RecordExecStats(const ExecStats& stats) {
 }
 
 Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
-                                             std::vector<NodeRef>* results,
-                                             RefineMode mode) {
+                                             std::vector<NodeRef>* results) {
   if (results != nullptr) results->clear();
   TraceSpan span("query.execute");
   Timer timer;
@@ -139,7 +138,7 @@ Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
   {
     TraceSpan refine_span("query.refine");
     FIX_RETURN_IF_ERROR(
-        RefineCandidates(query, lookup.candidates, mode, &stats, results));
+        RefineCandidates(query, lookup.candidates, &stats, results));
     refine_span.AddAttr("nodes_visited", stats.nodes_visited);
     refine_span.AddAttr("results", stats.result_count);
   }
@@ -150,35 +149,10 @@ Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
 
 void FixQueryProcessor::RefineDocGroup(
     const TwigQuery& query, const std::vector<FixIndex::Candidate>& sorted,
-    size_t begin, size_t end, RefineMode mode, bool rooted,
-    GroupOutcome* out) {
+    size_t begin, size_t end, bool rooted, GroupOutcome* out) {
   const IndexOptions& options = index_->options();
   const uint32_t doc_id = sorted[begin].ref.doc_id;
   const Document& doc = corpus_->doc(doc_id);
-
-  if (mode == RefineMode::kBatch && !options.clustered &&
-      options.depth_limit > 0) {
-    // One navigational pass over this document, frontier seeded with its
-    // whole candidate group.
-    std::vector<NodeId> contexts;
-    contexts.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      if (rooted && doc.parent(sorted[i].ref.node_id) != 0) continue;
-      contexts.push_back(sorted[i].ref.node_id);
-    }
-    TwigMatcher matcher(&doc);
-    std::vector<NodeId> bindings = matcher.EvaluateAtMany(contexts, query);
-    out->nodes_visited = matcher.nodes_visited();
-    std::unordered_set<NodeId> dedup;
-    dedup.reserve(bindings.size());
-    out->results.reserve(bindings.size());
-    for (NodeId b : bindings) {
-      if (dedup.insert(b).second) out->results.push_back({doc_id, b});
-    }
-    out->result_count = dedup.size();
-    return;
-  }
-
   const bool doc_unit = options.depth_limit == 0;
   TwigMatcher matcher(&doc);
   std::unordered_set<NodeId> dedup;
@@ -245,9 +219,8 @@ void FixQueryProcessor::RefineDocGroup(
 
 Status FixQueryProcessor::RefineCandidates(
     const TwigQuery& query,
-    const std::vector<FixIndex::Candidate>& candidates, RefineMode mode,
-    ExecStats* stats, std::vector<NodeRef>* results) {
-  const IndexOptions& options = index_->options();
+    const std::vector<FixIndex::Candidate>& candidates, ExecStats* stats,
+    std::vector<NodeRef>* results) {
   const bool rooted = IsRootedQuery(query);
 
   // Group candidates by document so the matcher memo is shared; the groups
@@ -258,12 +231,6 @@ Status FixQueryProcessor::RefineCandidates(
             [](const FixIndex::Candidate& a, const FixIndex::Candidate& b) {
               return a.ref.doc_id < b.ref.doc_id;
             });
-
-  if (mode == RefineMode::kBatch && !options.clustered &&
-      options.depth_limit > 0) {
-    stats->producing_valid = false;
-    stats->random_reads = sorted.size();  // pointer dereferences
-  }
 
   std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per doc
   for (size_t i = 0; i < sorted.size();) {
@@ -278,8 +245,8 @@ Status FixQueryProcessor::RefineCandidates(
 
   std::vector<GroupOutcome> outcomes(groups.size());
   ParallelFor(pool_, groups.size(), [&](size_t g) {
-    RefineDocGroup(query, sorted, groups[g].first, groups[g].second, mode,
-                   rooted, &outcomes[g]);
+    RefineDocGroup(query, sorted, groups[g].first, groups[g].second, rooted,
+                   &outcomes[g]);
   });
 
   size_t total_results = 0;

@@ -16,23 +16,10 @@
 
 namespace fix {
 
-/// How candidates are refined.
-enum class RefineMode {
-  /// Evaluate each candidate separately; produces exact per-entry `rst`
-  /// (needed by the Section 6.2 metrics) at the cost of re-walking
-  /// overlapping candidate subtrees.
-  kPerCandidate,
-  /// Seed one navigational pass with the whole candidate set (the paper's
-  /// architecture: pruned input feeds one NoK pass). Fastest; `producing`
-  /// is not attributed (producing_valid = false).
-  kBatch,
-};
-
 struct ExecStats {
   uint64_t total_entries = 0;   ///< ent: all index entries
   uint64_t candidates = 0;      ///< cdt: entries surviving the index probe
   uint64_t producing = 0;       ///< rst: candidates yielding >= 1 result
-  bool producing_valid = true;  ///< false under RefineMode::kBatch
   uint64_t result_count = 0;    ///< result-step bindings (deduplicated when
                                 ///< evaluation runs on primary documents)
   bool covered = true;          ///< query depth within the index limit
@@ -108,12 +95,12 @@ class FixQueryProcessor {
   /// Runs the full query. `results` (optional) receives the deduplicated
   /// result-step bindings; it is filled only when refinement runs against
   /// primary documents (unclustered or whole-document candidates) — for
-  /// clustered subtree copies only counts are meaningful. Clustered
-  /// indexes always refine per candidate (each subtree copy is its own
-  /// little document).
+  /// clustered subtree copies only counts are meaningful. Every candidate
+  /// is refined on its own, which attributes the per-entry `rst` the
+  /// Section 6.2 metrics need; one document's candidates share a matcher,
+  /// so overlapping subtrees are not re-walked.
   [[nodiscard]] Result<ExecStats> Execute(const TwigQuery& query,
-                            std::vector<NodeRef>* results = nullptr,
-                            RefineMode mode = RefineMode::kPerCandidate);
+                            std::vector<NodeRef>* results = nullptr);
 
  private:
   /// Refinement output of one per-document candidate group.
@@ -129,15 +116,14 @@ class FixQueryProcessor {
 
   [[nodiscard]] Status RefineCandidates(const TwigQuery& query,
                           const std::vector<FixIndex::Candidate>& candidates,
-                          RefineMode mode, ExecStats* stats,
-                          std::vector<NodeRef>* results);
+                          ExecStats* stats, std::vector<NodeRef>* results);
 
   /// Refines the candidate group sorted[begin, end) — all of one document —
   /// into `out`. Runs on pool workers; touches only read-shared index state
   /// and `out`.
   void RefineDocGroup(const TwigQuery& query,
                       const std::vector<FixIndex::Candidate>& sorted,
-                      size_t begin, size_t end, RefineMode mode, bool rooted,
+                      size_t begin, size_t end, bool rooted,
                       GroupOutcome* out);
 
   [[nodiscard]] Result<ExecStats> FullScan(const TwigQuery& query,

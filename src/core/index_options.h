@@ -13,26 +13,6 @@ namespace fix {
 
 class PageIo;
 
-/// Which access method answers the containment probe (FixIndex::Probe).
-///
-///   kBTree   — the composite-key B+-tree range scan (the paper's layout).
-///   kSpatial — the per-label kd-tree over (λ_max, λ₂); prunes whole
-///              subtrees instead of filtering row by row, so λ₂-selective
-///              probes touch far fewer entries (Section 8's direction).
-///   kAuto    — kSpatial whenever the spatial structure is resident
-///              (built, refreshed after a commit, or loaded from its
-///              sidecar), kBTree otherwise.
-///
-/// Both engines return byte-identical candidate sets (same entries, same
-/// order); the choice is purely a cost decision, and a missing or
-/// quarantined spatial structure always degrades to the B+-tree — never to
-/// a wrong answer.
-enum class ProbeEngine : uint32_t {
-  kBTree = 0,
-  kSpatial = 1,
-  kAuto = 2,
-};
-
 struct IndexOptions {
   /// Subpattern depth limit L of Algorithm 1. 0 indexes each document as a
   /// single unit (the collection-of-small-documents mode); a positive L
@@ -78,10 +58,6 @@ struct IndexOptions {
   /// edges survive quotients, so this bound is provably free of false
   /// negatives, at the cost of pruning power.
   bool sound_probe = false;
-
-  /// Probe engine selection (see ProbeEngine above). Persisted, so a
-  /// reopened index keeps answering with the engine it was built for.
-  ProbeEngine probe_engine = ProbeEngine::kAuto;
 
   /// Buffer-pool frames for the index B+-tree.
   size_t buffer_pool_pages = 4096;

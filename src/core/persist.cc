@@ -12,10 +12,12 @@ constexpr uint32_t kManifestMagic = 0x4649584d;  // "FIXM"
 constexpr uint32_t kMetaMagic = 0x46495849;  // "FIXI"
 constexpr uint32_t kVersion = 1;
 // Index-meta format: v2 appends storage_format + indexed_docs, v3 appends
-// generation + wal_bytes, v4 appends probe_engine (see IndexMeta). Older
-// sidecars remain readable; fields they predate decode to their "unknown"
-// defaults.
-constexpr uint32_t kMetaVersion = 4;
+// generation + wal_bytes, v4 appends a probe-engine selector, and v5 drops
+// it again (see IndexMeta). Older sidecars remain readable; fields they
+// predate decode to their "unknown" defaults.
+constexpr uint32_t kMetaVersion = 5;
+// Largest probe-engine value a v4 meta could carry (B+-tree, kd-tree, auto).
+constexpr uint32_t kMaxV4EngineSelector = 2;
 
 void PutHeader(std::string* out, uint32_t magic, uint32_t version = kVersion) {
   PutFixed32(out, magic);
@@ -170,8 +172,6 @@ std::string EncodeIndexMeta(const IndexMeta& meta) {
   // v3 fields.
   PutVarint64(&out, meta.generation);
   PutVarint64(&out, meta.wal_bytes);
-  // v4 fields.
-  PutVarint32(&out, static_cast<uint32_t>(o.probe_engine));
   return out;
 }
 
@@ -232,15 +232,16 @@ Result<IndexMeta> DecodeIndexMeta(const std::string& buf) {
       return Status::Corruption("index meta: truncated generation fields");
     }
   }
-  if (version >= 4) {
+  if (version == 4) {
+    // Every index now probes its B+-tree; the v4 selector is validated and
+    // dropped.
     uint32_t engine = 0;
     if (!GetVarint32(buf, &pos, &engine)) {
       return Status::Corruption("index meta: truncated probe engine");
     }
-    if (engine > static_cast<uint32_t>(ProbeEngine::kAuto)) {
+    if (engine > kMaxV4EngineSelector) {
       return Status::Corruption("index meta: unknown probe engine");
     }
-    meta.options.probe_engine = static_cast<ProbeEngine>(engine);
   }
   if (pos != buf.size()) {
     return Status::Corruption("index meta: trailing bytes");

@@ -40,6 +40,11 @@ std::string EncodeManifest(const std::vector<RecordId>& records);
 
 // --- index metadata ---------------------------------------------------------
 
+/// Suffix of the kd-tree probe file that indexes written before meta v5 may
+/// keep at `<index path>` + this suffix. Nothing reads it; FixIndex::Open
+/// unlinks it.
+inline constexpr char kLegacyKdTreeSuffix[] = ".spatial";
+
 /// indexed_docs value meaning "written by a pre-v2 meta, count unknown":
 /// consistency checks against the corpus are skipped for such indexes.
 inline constexpr uint32_t kIndexedDocsUnknown = UINT32_MAX;
@@ -63,7 +68,8 @@ struct IndexMeta {
   /// which is exactly why the WAL commit record carries the app state).
   uint64_t generation = 0;
   uint64_t wal_bytes = 0;
-  // v4 appends options.probe_engine (pre-v4 metas decode to kAuto).
+  // v4 appended a probe-engine selector; v5 no longer writes it, and the
+  // decoder validates and drops it from v4 metas.
 };
 
 std::string EncodeIndexMeta(const IndexMeta& meta);

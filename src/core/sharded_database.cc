@@ -508,7 +508,6 @@ Result<ExecStats> ShardedDatabase::ScatterGather(
     merged.total_entries += leg.stats.total_entries;
     merged.candidates += leg.stats.candidates;
     merged.producing += leg.stats.producing;
-    merged.producing_valid = merged.producing_valid && leg.stats.producing_valid;
     merged.result_count += leg.stats.result_count;
     merged.covered = merged.covered && leg.stats.covered;
     merged.used_index = merged.used_index && leg.stats.used_index;

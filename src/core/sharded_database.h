@@ -1,13 +1,13 @@
 // ShardedDatabase: scale-out within one process. Documents are partitioned
 // across N independent Database shards by a hash of their global doc id;
-// each shard owns its own corpus, buffer pool, B+-tree (and spatial
-// sidecar), WAL, and feature cache, so index builds and InsertDocument
-// commits proceed in parallel per shard with no cross-shard lock on the
-// heavy path. Queries compile once against a master label table, scatter
-// the compiled plan to every shard over a ThreadPool, and gather through
-// the same deterministic doc-order merge the unsharded path uses — results
-// are byte-identical to a single monolithic index over the same documents
-// (verified across shard counts, probe engines, and sound_probe settings).
+// each shard owns its own corpus, buffer pool, B+-tree, WAL, and feature
+// cache, so index builds and InsertDocument commits proceed in parallel per
+// shard with no cross-shard lock on the heavy path. Queries compile once
+// against a master label table, scatter the compiled plan to every shard
+// over a ThreadPool, and gather through the same deterministic doc-order
+// merge the unsharded path uses — results are byte-identical to a single
+// monolithic index over the same documents (verified across shard counts
+// and sound_probe settings).
 //
 // Layout on disk (workdir):
 //   shards.manifest        FXSH manifest: shard count, layout generation,
@@ -69,13 +69,12 @@ struct ShardedOptions {
   /// layout: one shard holding every document, byte-identical to the
   /// unsharded path by construction.
   uint32_t shard_count = 1;
-  /// Default per-shard index options (depth limit, probe engine,
-  /// sound_probe, buffer pool size, ...). `path` is ignored — each shard
-  /// derives its own.
+  /// Default per-shard index options (depth limit, sound_probe, buffer
+  /// pool size, ...). `path` is ignored — each shard derives its own.
   IndexOptions index;
   /// Per-tenant overrides: shard ordinal -> options used instead of
   /// `index` for that shard. Lets one tenant's shard run e.g. a different
-  /// probe engine or sound_probe setting; final results are unaffected
+  /// sound_probe or use_lambda2 setting; final results are unaffected
   /// (refinement is exact), only per-shard cost profiles change.
   std::map<uint32_t, IndexOptions> shard_overrides;
   /// Forwarded to each shard's Database::Open (attach-time audit and the

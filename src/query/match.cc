@@ -150,17 +150,4 @@ bool TwigMatcher::ExistsAt(NodeId context, const TwigQuery& q) {
   return !EvaluateAt(context, q).empty();
 }
 
-std::vector<NodeId> TwigMatcher::EvaluateAtMany(
-    const std::vector<NodeId>& contexts, const TwigQuery& q) {
-  std::vector<NodeId> frontier;
-  frontier.reserve(contexts.size());
-  for (NodeId context : contexts) {
-    if (SatisfiesLocal(context, q, q.root)) frontier.push_back(context);
-  }
-  std::sort(frontier.begin(), frontier.end());
-  frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                 frontier.end());
-  return MainPathFrontier(std::move(frontier), q);
-}
-
 }  // namespace fix

@@ -42,13 +42,6 @@ class TwigMatcher {
   /// Existential form of EvaluateAt.
   bool ExistsAt(NodeId context, const TwigQuery& q);
 
-  /// Batched form of EvaluateAt: evaluates once with the root-step frontier
-  /// seeded from `contexts` (the paper's architecture — the pruned input
-  /// set feeds a single NoK pass). Equivalent to the union of per-context
-  /// EvaluateAt results, but without re-walking overlapping subtrees.
-  std::vector<NodeId> EvaluateAtMany(const std::vector<NodeId>& contexts,
-                                     const TwigQuery& q);
-
   /// EvaluateAt/ExistsAt share the (node, step) memo across candidates of
   /// one query for efficiency; call this before switching to a different
   /// query on the same matcher. Evaluate()/Exists() reset automatically.

@@ -3,12 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "common/bytes.h"
 #include "core/corpus.h"
+#include "core/feature.h"
 #include "core/fix_index.h"
+#include "datagen/datasets.h"
+#include "datagen/query_gen.h"
+#include "query/compile.h"
 #include "query/xpath_parser.h"
 
 namespace fix {
@@ -235,6 +242,216 @@ TEST_F(FixIndexTest, QueryFeaturesSymmetricRange) {
   // Anti-symmetric matrices: λ_min = -λ_max, always.
   EXPECT_DOUBLE_EQ(key->lambda_min, -key->lambda_max);
   EXPECT_GT(key->lambda_max, 0.0);
+}
+
+// Every indexed entry with its value, in tree order.
+struct IndexedEntry {
+  FeatureKey key;
+  IndexValue value;
+};
+
+std::vector<IndexedEntry> ScanAll(FixIndex* index) {
+  std::vector<IndexedEntry> rows;
+  auto it = index->btree()->SeekFirst();
+  EXPECT_TRUE(it.ok());
+  if (!it.ok()) return rows;
+  while (it->Valid()) {
+    rows.push_back(
+        {DecodeFeatureKey(it->key()), DecodeIndexValue(it->value())});
+    EXPECT_TRUE(it->Next().ok());
+  }
+  return rows;
+}
+
+// The containment filter of Algorithm 2, applied row by row: the entries a
+// probe with features `probe` must return, in tree order.
+std::vector<const IndexedEntry*> BruteForceProbe(
+    const std::vector<IndexedEntry>& rows, const FeatureKey& probe,
+    double eps, bool filter_l2, bool use_root_label) {
+  const uint64_t min_lmax = OrderPreservingDouble(probe.lambda_max - eps);
+  const uint64_t max_lmin = OrderPreservingDouble(probe.lambda_min + eps);
+  const uint64_t min_l2 = OrderPreservingDouble(probe.lambda2 - eps);
+  std::vector<const IndexedEntry*> out;
+  for (const IndexedEntry& row : rows) {
+    if (use_root_label && row.key.root_label != probe.root_label) continue;
+    if (OrderPreservingDouble(row.key.lambda_max) < min_lmax ||
+        OrderPreservingDouble(row.key.lambda_min) > max_lmin) {
+      continue;
+    }
+    if (filter_l2 && OrderPreservingDouble(row.key.lambda2) < min_l2) {
+      continue;
+    }
+    out.push_back(&row);
+  }
+  return out;
+}
+
+// Byte-exact fingerprint of one candidate: encoded key, node ref and
+// clustered offset.
+std::string Fingerprint(const FeatureKey& key, const NodeRef& ref,
+                        uint64_t clustered_offset) {
+  std::string out = EncodeFeatureKey(key);
+  char buf[16];
+  std::memcpy(buf, &ref.doc_id, 4);
+  std::memcpy(buf + 4, &ref.node_id, 4);
+  std::memcpy(buf + 8, &clustered_offset, 8);
+  out.append(buf, sizeof(buf));
+  return out;
+}
+
+// The B+-tree probe against a brute-force containment filter over every
+// indexed key, on random probes with λ₂ filtering on, under both
+// sound_probe settings and both root-label modes. With ε = 0 the filter
+// bounds sit exactly on the eigenvalues of entries whose pattern equals
+// the query's, so an inclusivity bug (> where >= belongs) loses those
+// boundary entries.
+TEST_F(FixIndexTest, ExactBoundaryMatchesBruteForce) {
+  XMarkOptions gen;
+  gen.num_items = 24;
+  gen.num_people = 24;
+  gen.num_open_auctions = 24;
+  gen.num_closed_auctions = 24;
+  gen.num_categories = 12;
+  GenerateXMark(&corpus_, gen);
+  QueryGenOptions qopts;
+  qopts.seed = 4244;
+  qopts.max_depth = 4;
+  auto queries = GenerateRandomQueries(corpus_, 120, qopts);
+  ASSERT_FALSE(queries.empty());
+
+  for (bool sound : {false, true}) {
+    for (double eps : {0.0, 1e-6}) {
+      SCOPED_TRACE(std::string(sound ? "sound" : "paper") +
+                   " eps=" + std::to_string(eps));
+      IndexOptions options = Options(4);
+      options.use_lambda2 = true;
+      options.sound_probe = sound;
+      options.epsilon = eps;
+      auto index = FixIndex::Build(&corpus_, options, nullptr);
+      ASSERT_TRUE(index.ok()) << index.status();
+      const std::vector<IndexedEntry> rows = ScanAll(&*index);
+      ASSERT_GT(rows.size(), 100u);
+
+      uint64_t on_boundary = 0;
+      for (const TwigQuery& q : queries) {
+        const TwigQuery part = DecomposeAtDescendantEdges(q)[0];
+        auto probe = index->QueryFeatures(part);
+        ASSERT_TRUE(probe.ok());
+        const uint64_t min_lmax =
+            OrderPreservingDouble(probe->lambda_max - eps);
+        for (bool use_root_label : {true, false}) {
+          std::vector<uint32_t> want;
+          for (const IndexedEntry* row :
+               BruteForceProbe(rows, *probe, eps, !sound, use_root_label)) {
+            want.push_back(row->key.seq);
+            on_boundary +=
+                OrderPreservingDouble(row->key.lambda_max) == min_lmax;
+          }
+          auto got = index->Probe(part, use_root_label);
+          ASSERT_TRUE(got.ok());
+          std::vector<uint32_t> got_seqs;
+          for (const FixIndex::Candidate& c : got->candidates) {
+            got_seqs.push_back(c.key.seq);
+          }
+          EXPECT_EQ(got_seqs, want)
+              << "root_label=" << use_root_label << " query=" << q.ToString();
+        }
+      }
+      // The property is vacuous unless some entries sat on the bound.
+      if (eps == 0.0) {
+        EXPECT_GT(on_boundary, 0u);
+      }
+    }
+  }
+}
+
+// Seeded random twig probes over every dataset generator, under both
+// sound_probe settings and both root-label modes: the candidates the
+// B+-tree probe returns are byte-identical — same keys, same node refs,
+// same order — to the brute-force filter over the scanned tree.
+TEST_F(FixIndexTest, RandomProbesMatchBruteForce) {
+  enum class Gen { kTcmd, kDblp, kXMark, kTreebank };
+  for (Gen g : {Gen::kTcmd, Gen::kDblp, Gen::kXMark, Gen::kTreebank}) {
+    Corpus corpus;
+    switch (g) {
+      case Gen::kTcmd: {
+        TcmdOptions o;
+        o.num_docs = 60;
+        GenerateTcmd(&corpus, o);
+        break;
+      }
+      case Gen::kDblp: {
+        DblpOptions o;
+        o.num_publications = 120;
+        GenerateDblp(&corpus, o);
+        break;
+      }
+      case Gen::kXMark: {
+        XMarkOptions o;
+        o.num_items = 24;
+        o.num_people = 24;
+        o.num_open_auctions = 24;
+        o.num_closed_auctions = 24;
+        o.num_categories = 12;
+        GenerateXMark(&corpus, o);
+        break;
+      }
+      case Gen::kTreebank: {
+        TreebankOptions o;
+        o.num_sentences = 60;
+        GenerateTreebank(&corpus, o);
+        break;
+      }
+    }
+    const int depth_limit = g == Gen::kTcmd ? 0 : 4;
+    QueryGenOptions qopts;
+    qopts.seed = 4242 + static_cast<uint64_t>(g);
+    qopts.max_depth = depth_limit > 0 ? depth_limit : 5;
+    qopts.rooted = g == Gen::kTcmd;
+    auto queries = GenerateRandomQueries(corpus, 120, qopts);
+    ASSERT_FALSE(queries.empty());
+
+    for (bool sound : {false, true}) {
+      SCOPED_TRACE("gen=" + std::to_string(static_cast<int>(g)) +
+                   (sound ? " sound" : " paper"));
+      IndexOptions options = Options(depth_limit);
+      options.use_lambda2 = true;
+      options.sound_probe = sound;
+      options.path = dir_ + "/random_" + std::to_string(static_cast<int>(g)) +
+                     (sound ? "_sound.fix" : "_paper.fix");
+      auto index = FixIndex::Build(&corpus, options, nullptr);
+      ASSERT_TRUE(index.ok()) << index.status();
+      const std::vector<IndexedEntry> rows = ScanAll(&*index);
+      ASSERT_FALSE(rows.empty());
+
+      uint64_t nonempty = 0;
+      for (const TwigQuery& q : queries) {
+        const TwigQuery part = DecomposeAtDescendantEdges(q)[0];
+        auto probe = index->QueryFeatures(part);
+        ASSERT_TRUE(probe.ok());
+        for (bool use_root_label : {true, false}) {
+          std::string want;
+          for (const IndexedEntry* row :
+               BruteForceProbe(rows, *probe, options.epsilon, !sound,
+                               use_root_label)) {
+            want += Fingerprint(row->key, row->value.ref,
+                                row->value.clustered_offset);
+          }
+          auto got = index->Probe(part, use_root_label);
+          ASSERT_TRUE(got.ok());
+          std::string got_bytes;
+          for (const FixIndex::Candidate& c : got->candidates) {
+            got_bytes += Fingerprint(c.key, c.ref, c.clustered_offset);
+          }
+          ASSERT_EQ(got_bytes, want)
+              << "root_label=" << use_root_label << " query=" << q.ToString();
+          if (use_root_label) nonempty += !got->candidates.empty();
+        }
+      }
+      // The property is vacuous if every probe came back empty.
+      EXPECT_GT(nonempty, 0u);
+    }
+  }
 }
 
 TEST_F(FixIndexTest, BuildRequiresPath) {

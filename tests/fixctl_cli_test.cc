@@ -37,12 +37,12 @@ TEST(FixctlCliTest, BuildFlagsMatchIndexOptions) {
   ASSERT_NE(build, nullptr);
   for (const char* flag : {"--depth", "--clustered", "--beta", "--lambda2",
                            "--sound", "--threads", "--cache-mb",
-                           "--probe-engine", "--shards"}) {
+                           "--shards"}) {
     const fixctl::CliFlag* f = fixctl::FindFlag(*build, flag);
     ASSERT_NE(f, nullptr) << flag;
     EXPECT_NE(f->help[0], '\0') << flag << " has no help text";
   }
-  EXPECT_EQ(build->num_flags, 9u)
+  EXPECT_EQ(build->num_flags, 8u)
       << "flag table and this test disagree; update both when fixctl build "
          "gains or loses a flag";
   EXPECT_EQ(fixctl::FindFlag(*build, "--explain"), nullptr);
@@ -52,7 +52,7 @@ TEST(FixctlCliTest, ValueFlagsDeclareOperands) {
   const fixctl::CliCommand* build = fixctl::FindCommand("build");
   ASSERT_NE(build, nullptr);
   for (const char* flag : {"--depth", "--beta", "--threads", "--cache-mb",
-                           "--probe-engine", "--shards"}) {
+                           "--shards"}) {
     ASSERT_NE(fixctl::FindFlag(*build, flag), nullptr);
     EXPECT_NE(fixctl::FindFlag(*build, flag)->value_name, nullptr) << flag;
   }

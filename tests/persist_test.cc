@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/bytes.h"
 #include "core/corpus.h"
+#include "core/database.h"
 #include "core/fix_index.h"
 #include "core/fix_query.h"
 #include "core/persist.h"
@@ -17,6 +20,17 @@
 
 namespace fix {
 namespace {
+
+// Hand-encodes the v4 form of a meta: v4 is the v5 layout with the header
+// version set to 4 and a trailing probe-engine selector (0 = B+-tree,
+// 1 = kd-tree, 2 = auto).
+std::string AsV4Meta(const std::string& v5, uint32_t engine) {
+  std::string v4 = v5;
+  EXPECT_EQ(DecodeFixed32(v4.data() + 4), 5u);
+  EncodeFixed32(v4.data() + 4, 4);
+  PutVarint32(&v4, engine);
+  return v4;
+}
 
 class PersistTest : public ::testing::Test {
  protected:
@@ -105,6 +119,37 @@ TEST_F(PersistTest, IndexMetaRoundTrip) {
   EXPECT_EQ(restored->indexed_docs, 321u);
 }
 
+TEST_F(PersistTest, IndexMetaV4EngineFieldIsValidatedAndDropped) {
+  IndexMeta meta;
+  meta.options.depth_limit = 3;
+  meta.options.sound_probe = true;
+  meta.next_seq = 17;
+  meta.indexed_docs = 9;
+  meta.generation = 5;
+  meta.wal_bytes = 64;
+  const std::string v5 = EncodeIndexMeta(meta);
+  for (uint32_t engine : {0u, 1u, 2u}) {
+    SCOPED_TRACE(engine);
+    auto restored = DecodeIndexMeta(AsV4Meta(v5, engine));
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(EncodeIndexMeta(*restored), v5);
+  }
+  // An engine value no v4 writer could emit is damage.
+  auto unknown = DecodeIndexMeta(AsV4Meta(v5, 3));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().IsCorruption()) << unknown.status();
+  // A v4 header without its selector is truncated.
+  std::string truncated = AsV4Meta(v5, 0);
+  truncated.pop_back();
+  auto short_meta = DecodeIndexMeta(truncated);
+  ASSERT_FALSE(short_meta.ok());
+  EXPECT_TRUE(short_meta.status().IsCorruption()) << short_meta.status();
+  // v5 carries no selector, so a trailing byte is damage too.
+  auto trailing = DecodeIndexMeta(v5 + '\0');
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_TRUE(trailing.status().IsCorruption()) << trailing.status();
+}
+
 TEST_F(PersistTest, EdgeEncoderExportImport) {
   EdgeEncoder original;
   double w1 = original.Weight(3, 4);
@@ -190,6 +235,91 @@ TEST_F(PersistTest, ReopenedClusteredIndexServesCopies) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->result_count, 1u);
   EXPECT_GT(stats->sequential_bytes, 0u);
+}
+
+// Indexes persisted by meta v4 — whatever probe engine they selected —
+// reopen and answer byte-identically to a fresh v5 index. Opening also
+// unlinks the kd-tree file such indexes kept next to the B+-tree.
+TEST_F(PersistTest, V4IndexOpensAndAnswersLikeV5) {
+  Corpus corpus;
+  DblpOptions gen;
+  gen.num_publications = 80;
+  GenerateDblp(&corpus, gen);
+  ASSERT_TRUE(corpus.Save(dir_).ok());
+  IndexOptions options;
+  options.depth_limit = 4;
+  options.path = dir_ + "/v.fix";
+  auto built = FixIndex::Build(&corpus, options, nullptr);
+  ASSERT_TRUE(built.ok()) << built.status();
+
+  QueryGenOptions qopts;
+  qopts.seed = 404;
+  qopts.max_depth = 4;
+  auto queries = GenerateRandomQueries(corpus, 25, qopts);
+  ASSERT_GT(queries.size(), 5u);
+  std::vector<std::vector<NodeRef>> want(queries.size());
+  std::vector<uint64_t> want_candidates(queries.size());
+  FixQueryProcessor fresh(&corpus, &*built);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto stats = fresh.Execute(queries[i], &want[i]);
+    ASSERT_TRUE(stats.ok());
+    want_candidates[i] = stats->candidates;
+  }
+
+  auto v5 = ReadFile(dir_ + "/v.fix.meta");
+  ASSERT_TRUE(v5.ok());
+  const std::string kd_tree_file = dir_ + "/v.fix" + kLegacyKdTreeSuffix;
+  for (uint32_t engine : {0u, 1u, 2u}) {
+    SCOPED_TRACE(engine);
+    ASSERT_TRUE(WriteFile(dir_ + "/v.fix.meta", AsV4Meta(*v5, engine)).ok());
+    ASSERT_TRUE(WriteFile(kd_tree_file, std::string(4096, 'k')).ok());
+
+    auto corpus2 = Corpus::Load(dir_);
+    ASSERT_TRUE(corpus2.ok());
+    auto reopened = FixIndex::Open(&*corpus2, dir_ + "/v.fix");
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_FALSE(std::filesystem::exists(kd_tree_file));
+    EXPECT_EQ(reopened->num_entries(), built->num_entries());
+    FixQueryProcessor processor(&*corpus2, &*reopened);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      TwigQuery q = queries[i];
+      q.ResolveLabels(corpus2->labels());
+      std::vector<NodeRef> got;
+      auto stats = processor.Execute(q, &got);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(got, want[i]) << q.ToString();
+      EXPECT_EQ(stats->candidates, want_candidates[i]) << q.ToString();
+    }
+  }
+}
+
+// An upgraded database directory sheds the kd-tree file on Database::Open
+// and keeps serving from the attached index.
+TEST_F(PersistTest, DatabaseOpenRemovesLeftoverKdTreeFile) {
+  {
+    Database db(dir_);
+    TcmdOptions gen;
+    gen.num_docs = 30;
+    GenerateTcmd(db.corpus(), gen);
+    ASSERT_TRUE(db.Finalize().ok());
+    IndexOptions options;
+    ASSERT_TRUE(db.BuildIndex("main", options, nullptr).ok());
+    ASSERT_TRUE(db.Save().ok());
+  }
+  const std::string kd_tree_file =
+      dir_ + "/main.fix" + kLegacyKdTreeSuffix;
+  ASSERT_TRUE(WriteFile(kd_tree_file, std::string(4096, 'k')).ok());
+
+  auto db = Database::Open(dir_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_FALSE(std::filesystem::exists(kd_tree_file));
+  std::vector<NodeRef> results;
+  auto stats = (*db)->Query("main", "/article/prolog/authors/author/name",
+                            &results);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(stats->used_index);
+  EXPECT_FALSE(stats->degraded);
+  EXPECT_FALSE(results.empty());
 }
 
 TEST_F(PersistTest, OpenRejectsMissingOrCorruptMeta) {

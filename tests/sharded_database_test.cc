@@ -1,6 +1,6 @@
 // ShardedDatabase tests: byte-identical scatter-gather parity against the
-// unsharded path on all four datasets at 1/2/4/8 shards (both probe
-// engines, both sound_probe settings), the shared plan cache, per-shard
+// unsharded path on all four datasets at 1/2/4/8 shards (both sound_probe
+// settings), the shared plan cache, per-shard
 // quarantine isolation, online rebalance, the sharded write path, and a
 // concurrent scatter-gather stress. Carries the `concurrency` ctest label
 // so CI runs it in the Release and TSan trees.
@@ -87,20 +87,10 @@ const DatasetCase kDatasets[] = {
      {"//EMPTY/S/VP", "//EMPTY/S[VP]/NP", "//S/NP/PP"}},
 };
 
-void SetEngineEverywhere(Database* unsharded, ShardedDatabase* sharded,
-                         ProbeEngine engine) {
-  unsharded->index("main")->set_probe_engine(engine);
-  for (uint32_t s = 0; s < sharded->shard_count(); ++s) {
-    FixIndex* idx = sharded->shard_db(s)->index("main");
-    ASSERT_NE(idx, nullptr);
-    idx->set_probe_engine(engine);
-  }
-}
-
 // The acceptance matrix: every dataset, at 1/2/4/8 shards, under both
-// sound_probe settings and both probe engines, must gather byte-identical
-// results to the unsharded index over the same documents.
-TEST_F(ShardedDatabaseTest, ParityMatrixAcrossDatasetsShardsEnginesSound) {
+// sound_probe settings, must gather byte-identical results to the unsharded
+// index over the same documents.
+TEST_F(ShardedDatabaseTest, ParityMatrixAcrossDatasetsShardsSound) {
   for (const DatasetCase& c : kDatasets) {
     SCOPED_TRACE(c.name);
     for (bool sound : {false, true}) {
@@ -126,24 +116,20 @@ TEST_F(ShardedDatabaseTest, ParityMatrixAcrossDatasetsShardsEnginesSound) {
         ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
         ASSERT_EQ((*sdb)->shard_count(), shards);
 
-        for (ProbeEngine engine : {ProbeEngine::kBTree, ProbeEngine::kSpatial}) {
-          SCOPED_TRACE(engine == ProbeEngine::kBTree ? "btree" : "spatial");
-          SetEngineEverywhere(&db, sdb->get(), engine);
-          for (const char* xpath : c.xpaths) {
-            SCOPED_TRACE(xpath);
-            std::vector<NodeRef> expect, got;
-            auto base = db.Query("main", xpath, &expect);
-            ASSERT_TRUE(base.ok()) << base.status();
-            auto stats = (*sdb)->Query("main", xpath, &got);
-            ASSERT_TRUE(stats.ok()) << stats.status();
-            EXPECT_EQ(got, expect);
-            EXPECT_EQ(stats->result_count, base->result_count);
-            EXPECT_FALSE(stats->degraded);
-            EXPECT_TRUE(stats->used_index);
-            // Shards partition the entry space: the scattered index holds
-            // exactly the entries the monolithic one does.
-            EXPECT_EQ(stats->total_entries, base->total_entries);
-          }
+        for (const char* xpath : c.xpaths) {
+          SCOPED_TRACE(xpath);
+          std::vector<NodeRef> expect, got;
+          auto base = db.Query("main", xpath, &expect);
+          ASSERT_TRUE(base.ok()) << base.status();
+          auto stats = (*sdb)->Query("main", xpath, &got);
+          ASSERT_TRUE(stats.ok()) << stats.status();
+          EXPECT_EQ(got, expect);
+          EXPECT_EQ(stats->result_count, base->result_count);
+          EXPECT_FALSE(stats->degraded);
+          EXPECT_TRUE(stats->used_index);
+          // Shards partition the entry space: the scattered index holds
+          // exactly the entries the monolithic one does.
+          EXPECT_EQ(stats->total_entries, base->total_entries);
         }
       }
     }
@@ -287,8 +273,8 @@ TEST_F(ShardedDatabaseTest, QuarantineIsolatesTheDamagedShard) {
   }
 }
 
-// Per-tenant shard overrides (a different probe engine and sound_probe on
-// some shards) change per-shard cost profiles, never answers.
+// Per-tenant shard overrides (sound_probe on one shard, λ₂ pruning on
+// another) change per-shard cost profiles, never answers.
 TEST_F(ShardedDatabaseTest, PerShardOptionOverridesKeepParity) {
   Database db(Subdir("src"));
   GenTinyXMark(db.corpus());
@@ -303,7 +289,7 @@ TEST_F(ShardedDatabaseTest, PerShardOptionOverridesKeepParity) {
   sopts.shard_overrides[1].depth_limit = 6;
   sopts.shard_overrides[1].sound_probe = true;
   sopts.shard_overrides[2].depth_limit = 6;
-  sopts.shard_overrides[2].probe_engine = ProbeEngine::kSpatial;
+  sopts.shard_overrides[2].use_lambda2 = true;
   auto sdb = ShardedDatabase::Partition(*db.corpus(), Subdir("sharded"), sopts);
   ASSERT_TRUE(sdb.ok()) << sdb.status();
   ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());

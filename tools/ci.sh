@@ -18,34 +18,29 @@
 #      (1/2/4/8 hash shards x 1/2/4/8 threads through the scatter-gather
 #      path, parity-checked per op, mixed read/write per layout, own CSV
 #      + snapshot carrying the fix.shard.* counters).
-#   7. the probe-engine parity smoke: the ProbeEngine test suite plus
-#      bench_ablation_spatial, whose FIX_CHECKs abort unless the kd-tree
-#      and B+-tree engines return byte-identical candidate sets on all
-#      four datasets (and whose CSV carries the probe-work A/B numbers).
-#   8. a TSan build running the `concurrency` labeled suite (thread pool,
+#   7. a TSan build running the `concurrency` labeled suite (thread pool,
 #      feature cache, parallel index construction, concurrent queries, the
 #      wire codec and the loopback fixd service tests).
-#   9. the fixd server smoke: boot the real binary on a loopback port over
+#   8. the fixd server smoke: boot the real binary on a loopback port over
 #      the deterministic DBLP corpus, prove the wire path lossless with the
 #      bench_qps --remote parity sweep, probe /stats over real HTTP, then
 #      SIGTERM and require the clean-drain exit code (docs/FIXD.md).
-#  10. the concurrent-query stress test on its own, in both the Release and
+#   9. the concurrent-query stress test on its own, in both the Release and
 #      TSan trees: many threads against one Database, results checked
 #      against single-threaded baselines.
-#  11. fixdb_scrub over every index page file persist_test produced
-#      (FIX_PERSIST_TEST_DIR keeps the suite's output for this step); the
-#      scrub also checks each index's `.spatial` sidecar.
-#  12. the shard-parity smoke + quarantine drill: the same deterministic
+#  10. fixdb_scrub over every index page file persist_test produced
+#      (FIX_PERSIST_TEST_DIR keeps the suite's output for this step).
+#  11. the shard-parity smoke + quarantine drill: the same deterministic
 #      corpus built monolithic and into four hash shards must answer a
 #      query identically (fixctl auto-detects the layout); the sharded
 #      layout must scrub clean as a directory; then one shard's page file
 #      is corrupted and the reopen must quarantine that shard alone —
 #      same answers, a degraded marker, and a now-failing scrub.
-#  13. static-analysis: fixlint (the project-invariant analyzer, see
+#  12. static-analysis: fixlint (the project-invariant analyzer, see
 #      docs/STATIC_ANALYSIS.md) over the whole tree plus the `lint` ctest
 #      label, and — when clang++ is installed — a FIX_THREAD_SAFETY=ON
 #      build that turns the thread-safety annotations into compile errors.
-#  14. docs-check: every relative markdown link in the repo's *.md files
+#  13. docs-check: every relative markdown link in the repo's *.md files
 #      must resolve, the documented headers must keep their thread-safety
 #      contracts, and docs/FIXD.md must name every wire opcode and result
 #      code the codec defines (plain grep/awk — no extra tooling).
@@ -61,7 +56,7 @@ JOBS="${JOBS:-$(nproc)}"
 BASE_REF="${1:-origin/main}"
 
 # One EXIT trap for everything the stages leave behind: the fixd server
-# process (stage 9) and the temp dirs (stages 9, 11, and 12).
+# process (stage 8) and the temp dirs (stages 8, 10, and 11).
 SRV_DIR=""
 SRV_PID=""
 SCRUB_DIR=""
@@ -76,15 +71,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "=== [1/14] Release build (FIX_WERROR=ON) ==="
+echo "=== [1/13] Release build (FIX_WERROR=ON) ==="
 cmake -B build -S . -DFIX_WERROR=ON
 cmake --build build -j "$JOBS"
 
-echo "=== [2/14] ASan/UBSan build (FIX_WERROR=ON, dchecks on) ==="
+echo "=== [2/13] ASan/UBSan build (FIX_WERROR=ON, dchecks on) ==="
 cmake -B build-asan -S . -DFIX_WERROR=ON -DFIX_SANITIZE="address;undefined"
 cmake --build build-asan -j "$JOBS"
 
-echo "=== [3/14] clang-tidy on changed files ==="
+echo "=== [3/13] clang-tidy on changed files ==="
 if ! git rev-parse --verify --quiet "$BASE_REF" >/dev/null; then
   BASE_REF="HEAD~1"
 fi
@@ -99,16 +94,16 @@ else
   tools/run_clang_tidy.sh build
 fi
 
-echo "=== [4/14] Tests ==="
+echo "=== [4/13] Tests ==="
 (cd build-asan && ctest -L sanitizer-clean --output-on-failure)
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-echo "=== [5/14] Fault-injection suite (Release + ASan) ==="
+echo "=== [5/13] Fault-injection suite (Release + ASan) ==="
 (cd build && ctest -L fault-injection --output-on-failure -j "$JOBS")
 (cd build-asan && ctest -L fault-injection --output-on-failure -j "$JOBS")
 
-echo "=== [6/14] WAL crash loop + mixed read/write bench ==="
+echo "=== [6/13] WAL crash loop + mixed read/write bench ==="
 # The COW+WAL acceptance loop on its own: FaultInjectionPageIo crashes the
 # data file and the log at every write index of an InsertDocument commit,
 # plus the fsync fail-stop latch, the torn-tail discard, and the online
@@ -133,17 +128,7 @@ grep -q '^fix_shard_scatters [1-9]' \
 grep -q '^fix_shard_inserts [1-9]' \
     build/bench/bench_qps_shards.csv.metrics.prom
 
-echo "=== [7/14] Probe-engine parity smoke ==="
-# Both probe engines must return byte-identical candidate sets through the
-# production ProbeWithEngine entry point. The property test covers seeded
-# random corpora under both sound_probe settings including ε boundary
-# cases; the ablation bench then FIX_CHECKs candidate parity on all four
-# datasets at benchmark scale while measuring the probe-work ratio.
-(cd build && ctest -R '^ProbeEngine' --output-on-failure -j "$JOBS")
-cmake --build build -j "$JOBS" --target bench_ablation_spatial
-(cd build/bench && ./bench_ablation_spatial)
-
-echo "=== [8/14] TSan build + concurrency/observability suites ==="
+echo "=== [7/13] TSan build + concurrency/observability suites ==="
 cmake -B build-tsan -S . -DFIX_WERROR=ON -DFIX_SANITIZE="thread"
 cmake --build build-tsan -j "$JOBS"
 (cd build-tsan && ctest -L concurrency --output-on-failure -j "$JOBS")
@@ -151,7 +136,7 @@ cmake --build build-tsan -j "$JOBS"
 # the observability label also runs in the Release tree via stage 4.
 (cd build-tsan && ctest -L observability --output-on-failure -j "$JOBS")
 
-echo "=== [9/14] fixd server smoke (loopback) ==="
+echo "=== [8/13] fixd server smoke (loopback) ==="
 # The real binary end to end (docs/FIXD.md): serve the deterministic DBLP
 # corpus, prove the wire path lossless with the bench_qps --remote parity
 # sweep (every result byte-identical to in-process execution), probe the
@@ -203,7 +188,7 @@ grep -q '^fixd: drained cleanly$' "$SRV_DIR/fixd.out"
 rm -rf "$SRV_DIR"
 SRV_DIR=""
 
-echo "=== [10/14] Concurrent-query stress (Release + TSan) ==="
+echo "=== [9/13] Concurrent-query stress (Release + TSan) ==="
 # The data-race canary for the whole read path: many threads through one
 # Database (lock-striped buffer pool, shared B+-tree, plan cache) with
 # results diffed against single-threaded baselines. TSan turns a silent
@@ -212,7 +197,7 @@ echo "=== [10/14] Concurrent-query stress (Release + TSan) ==="
 (cd build-tsan && ctest -R '^ConcurrentQueryTest' --output-on-failure \
     -j "$JOBS")
 
-echo "=== [11/14] Scrub of persist_test databases ==="
+echo "=== [10/13] Scrub of persist_test databases ==="
 SCRUB_DIR="$(mktemp -d)"
 (cd build && FIX_PERSIST_TEST_DIR="$SCRUB_DIR" ctest -R '^PersistTest' \
     --output-on-failure -j "$JOBS")
@@ -223,7 +208,7 @@ if [ "${#INDEX_FILES[@]}" -eq 0 ]; then
 fi
 build/tools/fixdb_scrub "${INDEX_FILES[@]}"
 
-echo "=== [12/14] Shard-parity smoke + quarantine drill ==="
+echo "=== [11/13] Shard-parity smoke + quarantine drill ==="
 # The scatter-gather contract end to end through the real binaries: the
 # same deterministic corpus built monolithic and into four hash shards
 # must produce the identical result count and doc/node pairs (fixctl
@@ -265,7 +250,7 @@ fi
 rm -rf "$SHARD_DIR"
 SHARD_DIR=""
 
-echo "=== [13/14] static-analysis: fixlint + thread-safety annotations ==="
+echo "=== [12/13] static-analysis: fixlint + thread-safety annotations ==="
 # fixlint enforces the project invariants a generic linter cannot know
 # (lock order vs ARCHITECTURE.md, metric/options doc drift, RAII-only
 # locking, banned functions, include guards); one finding fails CI. See
@@ -284,7 +269,7 @@ else
       "build (the annotations are only verifiable under clang)."
 fi
 
-echo "=== [14/14] docs-check ==="
+echo "=== [13/13] docs-check ==="
 # Every relative link in tracked markdown must resolve. grep emits
 # `file:](target)`; the loop strips the wrapper, drops externals and pure
 # anchors, and resolves the rest against the linking file's directory.

@@ -9,10 +9,7 @@
 // With --wal, additionally verifies the write-ahead log sidecar
 // (`<file>.wal`): header magic/CRC, a full record walk, and torn-tail
 // detection. A missing log is fine (pre-WAL index); a torn or unparseable
-// one counts as damage. The spatial-probe sidecar (`<file>.spatial`) is
-// always checked the same lenient way: absent is fine (the probe engine
-// just falls back to the B+-tree), but a present sidecar must pass its
-// CRC32C frame and tree-topology validation. Never modifies the files.
+// one counts as damage. Never modifies the files.
 //
 // A directory argument carrying shards.manifest (a ShardedDatabase
 // workdir, `fixctl build --shards`) expands to every `.fix` page file in
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "core/sharded_database.h"
-#include "core/spatial_probe.h"
 #include "storage/scrub.h"
 #include "storage/wal.h"
 
@@ -66,30 +62,6 @@ bool ScrubWal(const std::string& path) {
   } else {
     std::printf("%s: OK (empty, checkpointed)\n", wal_path.c_str());
   }
-  return true;
-}
-
-// Returns true when the spatial sidecar at `path` + ".spatial" is clean
-// (or absent). Damage here never loses data — the structure rebuilds from
-// the B+-tree — but it does silently degrade the probe engine, which is
-// exactly what an offline scrub should surface.
-bool ScrubSpatial(const std::string& path) {
-  const std::string spatial_path = path + ".spatial";
-  fix::Result<fix::SpatialProbe::SidecarInfo> info =
-      fix::SpatialProbe::InspectSidecar(spatial_path);
-  if (!info.ok()) {
-    if (info.status().IsNotFound()) {
-      std::printf("%s: no spatial sidecar (ok)\n", spatial_path.c_str());
-      return true;
-    }
-    std::fprintf(stderr, "%s: CORRUPT: %s\n", spatial_path.c_str(),
-                 info.status().ToString().c_str());
-    return false;
-  }
-  std::printf(
-      "%s: OK (%llu entries, %u label tree(s), generation %llu)\n",
-      spatial_path.c_str(), static_cast<unsigned long long>(info->total),
-      info->labels, static_cast<unsigned long long>(info->generation));
   return true;
 }
 
@@ -203,7 +175,6 @@ int main(int argc, char** argv) {
       ++failures;
     }
     if (scrub_wal && !ScrubWal(path)) ++failures;
-    if (!ScrubSpatial(path)) ++failures;
   }
   return failures == 0 ? 0 : 1;
 }
