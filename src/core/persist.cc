@@ -13,9 +13,11 @@ constexpr uint32_t kMetaMagic = 0x46495849;  // "FIXI"
 constexpr uint32_t kVersion = 1;
 // Index-meta format: v2 appends storage_format + indexed_docs, v3 appends
 // generation + wal_bytes, v4 appends a probe-engine selector, and v5 drops
-// it again (see IndexMeta). Older sidecars remain readable; fields they
-// predate decode to their "unknown" defaults.
-constexpr uint32_t kMetaVersion = 5;
+// it again (see IndexMeta). v6 has the v5 layout; it marks B+-tree leaves
+// written without a sibling chain, which a binary that still follows the
+// chain must refuse. Older sidecars remain readable; fields they predate
+// decode to their "unknown" defaults.
+constexpr uint32_t kMetaVersion = 6;
 // Largest probe-engine value a v4 meta could carry (B+-tree, kd-tree, auto).
 constexpr uint32_t kMaxV4EngineSelector = 2;
 

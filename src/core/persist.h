@@ -69,7 +69,9 @@ struct IndexMeta {
   uint64_t generation = 0;
   uint64_t wal_bytes = 0;
   // v4 appended a probe-engine selector; v5 no longer writes it, and the
-  // decoder validates and drops it from v4 metas.
+  // decoder validates and drops it from v4 metas. v6 keeps the v5 fields
+  // and marks an index whose B+-tree leaves carry no sibling chain; v5
+  // decodes the same way (its chain is simply not read).
 };
 
 std::string EncodeIndexMeta(const IndexMeta& meta);

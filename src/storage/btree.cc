@@ -188,8 +188,8 @@ uint16_t BTree::LeafLowerBound(const char* page, std::string_view key) const {
 uint16_t BTree::InnerChildIndex(const char* page, std::string_view key) const {
   // lower_bound over separators: on equality we stay LEFT. With duplicate
   // keys a run may span a split boundary, so descent lands at-or-before the
-  // first occurrence and the leaf sibling chain absorbs the slack (Seek and
-  // Get scan forward across leaves).
+  // first occurrence and the path-based leaf advance absorbs the slack (Seek
+  // and Get scan forward across leaves).
   uint16_t lo = 0, hi = NodeCount(page);
   while (lo < hi) {
     uint16_t mid = (lo + hi) / 2;
@@ -316,169 +316,6 @@ void BTree::AddReusablePages(const std::vector<PageId>& pages) {
   }
 }
 
-// --- insert (legacy in-place path) ------------------------------------------
-
-Status BTree::InsertRec(PageId node_id, std::string_view key,
-                        std::string_view value, SplitResult* out) {
-  PageHandle node;
-  FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(node_id));
-  char* page = node.data();
-
-  if (NodeType(page) == kLeaf) {
-    uint16_t count = NodeCount(page);
-    uint16_t pos = LeafLowerBound(page, key);
-    if (count < LeafCapacity()) {
-      char* slot = LeafEntry(page, pos);
-      std::memmove(slot + LeafEntrySize(), slot,
-                   (count - pos) * LeafEntrySize());
-      std::memcpy(slot, key.data(), key_size_);
-      std::memcpy(slot + key_size_, value.data(), value_size_);
-      SetNodeCount(page, count + 1);
-      node.MarkDirty();
-      DcheckNodeInvariants(page);
-      out->split = false;
-      return Status::OK();
-    }
-    // Split the leaf: left keeps the first half, right gets the rest.
-    PageHandle right;
-    FIX_ASSIGN_OR_RETURN(right, pool_->New());
-    char* rpage = right.data();
-    SetNodeType(rpage, kLeaf);
-    uint16_t mid = count / 2;
-    uint16_t right_count = count - mid;
-    std::memcpy(LeafEntry(rpage, 0), LeafEntry(page, mid),
-                right_count * LeafEntrySize());
-    SetNodeCount(rpage, right_count);
-    SetNodeLink(rpage, NodeLink(page));
-    SetNodeCount(page, mid);
-    SetNodeLink(page, right.page_id());
-    // Insert into whichever half owns position `pos`. Inserting at pos ==
-    // mid (end of left) is order-correct even when key equals the
-    // separator, because inner navigation stays left on equality.
-    char* target;
-    if (pos <= mid) {
-      uint16_t c = NodeCount(page);
-      target = LeafEntry(page, pos);
-      std::memmove(target + LeafEntrySize(), target,
-                   (c - pos) * LeafEntrySize());
-      SetNodeCount(page, c + 1);
-    } else {
-      uint16_t rpos = pos - mid;
-      uint16_t c = NodeCount(rpage);
-      target = LeafEntry(rpage, rpos);
-      std::memmove(target + LeafEntrySize(), target,
-                   (c - rpos) * LeafEntrySize());
-      SetNodeCount(rpage, c + 1);
-    }
-    std::memcpy(target, key.data(), key_size_);
-    std::memcpy(target + key_size_, value.data(), value_size_);
-    node.MarkDirty();
-    right.MarkDirty();
-    DcheckNodeInvariants(page);
-    DcheckNodeInvariants(rpage);
-    out->split = true;
-    out->separator.assign(LeafEntry(rpage, 0), key_size_);
-    out->right = right.page_id();
-    return Status::OK();
-  }
-
-  // Inner node.
-  uint16_t child_idx = InnerChildIndex(page, key);
-  PageId child = InnerChild(page, child_idx);
-  SplitResult child_split;
-  // Release the pin across the recursive call to bound pin depth? No:
-  // keeping the parent pinned during descent is standard latch coupling and
-  // the pool capacity (>= 8) covers the maximum height we build.
-  FIX_RETURN_IF_ERROR(InsertRec(child, key, value, &child_split));
-  if (!child_split.split) {
-    out->split = false;
-    return Status::OK();
-  }
-
-  // Insert (separator, right) after child_idx.
-  uint16_t count = NodeCount(page);
-  uint16_t pos = child_idx;  // separator array position
-  if (count < InnerCapacity()) {
-    char* slot = InnerEntry(page, pos);
-    std::memmove(slot + InnerEntrySize(), slot,
-                 (count - pos) * InnerEntrySize());
-    std::memcpy(slot, child_split.separator.data(), key_size_);
-    EncodeFixed32(slot + key_size_, child_split.right);
-    SetNodeCount(page, count + 1);
-    node.MarkDirty();
-    DcheckNodeInvariants(page);
-    out->split = false;
-    return Status::OK();
-  }
-
-  // Split the inner node. Assemble the full separator/child sequence in a
-  // scratch buffer, then redistribute with the middle separator moving up.
-  size_t entry = InnerEntrySize();
-  std::string scratch;
-  scratch.resize(static_cast<size_t>(count + 1) * entry);
-  std::memcpy(scratch.data(), InnerEntry(page, 0), pos * entry);
-  std::memcpy(scratch.data() + pos * entry, child_split.separator.data(),
-              key_size_);
-  EncodeFixed32(scratch.data() + pos * entry + key_size_, child_split.right);
-  std::memcpy(scratch.data() + (pos + 1) * entry, InnerEntry(page, pos),
-              (count - pos) * entry);
-  uint16_t total = count + 1;
-  uint16_t left_count = total / 2;
-  // separator at index left_count moves up; right node gets the rest.
-  const char* up = scratch.data() + left_count * entry;
-
-  PageHandle right;
-  FIX_ASSIGN_OR_RETURN(right, pool_->New());
-  char* rpage = right.data();
-  SetNodeType(rpage, kInner);
-  uint16_t right_count = total - left_count - 1;
-  SetNodeLink(rpage, DecodeFixed32(up + key_size_));  // child right of `up`
-  std::memcpy(InnerEntry(rpage, 0), up + entry, right_count * entry);
-  SetNodeCount(rpage, right_count);
-
-  std::memcpy(InnerEntry(page, 0), scratch.data(), left_count * entry);
-  SetNodeCount(page, left_count);
-
-  node.MarkDirty();
-  right.MarkDirty();
-  DcheckNodeInvariants(page);
-  DcheckNodeInvariants(rpage);
-  out->split = true;
-  out->separator.assign(up, key_size_);
-  out->right = right.page_id();
-  return Status::OK();
-}
-
-Status BTree::Insert(std::string_view key, std::string_view value) {
-  if (key.size() != key_size_ || value.size() != value_size_) {
-    return Status::InvalidArgument("key/value size mismatch");
-  }
-  if (state_->in_batch) return InsertCow(key, value);
-  SplitResult split;
-  FIX_RETURN_IF_ERROR(InsertRec(root_, key, value, &split));
-  if (split.split) {
-    // Grow a new root.
-    PageHandle new_root;
-    FIX_ASSIGN_OR_RETURN(new_root, pool_->New());
-    char* page = new_root.data();
-    SetNodeType(page, kInner);
-    SetNodeCount(page, 1);
-    SetNodeLink(page, root_);
-    char* slot = InnerEntry(page, 0);
-    std::memcpy(slot, split.separator.data(), key_size_);
-    EncodeFixed32(slot + key_size_, split.right);
-    new_root.MarkDirty();
-    DcheckNodeInvariants(page);
-    root_ = new_root.page_id();
-    ++height_;
-  }
-  ++num_entries_;
-  FIX_RETURN_IF_ERROR(WriteMeta());
-  // Same generation, new shape: re-publish so later reads see this write.
-  Publish(state_->generation);
-  return Status::OK();
-}
-
 // --- bulk load --------------------------------------------------------------
 
 Status BTree::BulkLoad(
@@ -518,11 +355,9 @@ Status BTree::BulkLoad(
   std::vector<LevelNode> level;
 
   // Leaves: packed full, left to right. The first leaf reuses the empty
-  // root page so a small load never abandons it; the previous leaf stays
-  // pinned just long enough to patch its sibling link.
+  // root page so a small load never abandons it.
   const size_t leaf_cap = LeafCapacity();
   level.reserve(entries.size() / leaf_cap + 1);
-  PageHandle prev;
   for (size_t pos = 0; pos < entries.size();) {
     PageHandle leaf;
     if (pos == 0) {
@@ -543,15 +378,9 @@ Status BTree::BulkLoad(
     }
     leaf.MarkDirty();
     DcheckNodeInvariants(page);
-    if (prev.valid()) {
-      SetNodeLink(prev.data(), leaf.page_id());
-      prev.MarkDirty();
-    }
     level.push_back(LevelNode{entries[pos].first, leaf.page_id()});
-    prev = std::move(leaf);
     pos += take;
   }
-  prev.Release();
 
   // Inner levels, bottom up. Children pack InnerCapacity()+1 per node,
   // except that a chunk never strands a single child for the next node —
@@ -594,54 +423,58 @@ Status BTree::BulkLoad(
 
 // --- lookup / iteration -----------------------------------------------------
 
-Result<PageHandle> BTree::FindLeafFrom(PageId root, std::string_view key) {
-  PageId current = root;
+Result<PageHandle> BTree::DescendPath(PageId root, std::string_view key,
+                                      std::vector<PathFrame>* path) {
+  path->clear();
+  PageId cur = root;
   for (;;) {
     PageHandle node;
-    FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(current));
+    FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(cur));
     if (NodeType(node.data()) == kLeaf) return node;
     uint16_t idx = InnerChildIndex(node.data(), key);
-    current = InnerChild(node.data(), idx);
+    path->push_back(PathFrame{cur, idx});
+    cur = InnerChild(node.data(), idx);
   }
+}
+
+Status BTree::NextLeaf(std::vector<PathFrame>* path, PageHandle* leaf) {
+  // Climb to the deepest ancestor with a child right of the one taken, step
+  // into it, and descend leftmost. Past the last leaf no ancestor has one.
+  while (!path->empty()) {
+    PathFrame& frame = path->back();
+    PageHandle node;
+    FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(frame.id));
+    if (frame.slot < NodeCount(node.data())) {
+      ++frame.slot;
+      PageId cur = InnerChild(node.data(), frame.slot);
+      node.Release();
+      for (;;) {
+        PageHandle down;
+        FIX_ASSIGN_OR_RETURN(down, pool_->Fetch(cur));
+        if (NodeType(down.data()) == kLeaf) {
+          *leaf = std::move(down);
+          return Status::OK();
+        }
+        path->push_back(PathFrame{cur, 0});
+        cur = InnerChild(down.data(), 0);
+      }
+    }
+    node.Release();
+    path->pop_back();
+  }
+  leaf->Release();
+  return Status::OK();
 }
 
 Result<std::string> BTree::Get(std::string_view key) {
   // Seek handles descent landing one leaf early (duplicate runs spanning a
-  // split boundary) by following the sibling chain.
+  // split boundary) by advancing to the next leaf.
   Iterator it;
   FIX_ASSIGN_OR_RETURN(it, Seek(key));
   if (it.Valid() && it.key() == key) {
     return std::string(it.value());
   }
   return Status::NotFound("key not in B+-tree");
-}
-
-Status BTree::Delete(std::string_view key, std::string_view value) {
-  if (key.size() != key_size_ || value.size() != value_size_) {
-    return Status::InvalidArgument("key/value size mismatch");
-  }
-  if (state_->in_batch) return DeleteCow(key, value);
-  Iterator it;
-  FIX_ASSIGN_OR_RETURN(it, Seek(key));
-  while (it.Valid() && it.key() == key) {
-    if (it.value() == value) {
-      // Remove from the leaf the iterator is parked on.
-      char* page = it.leaf_.data();
-      uint16_t count = NodeCount(page);
-      char* slot = LeafEntry(page, it.index_);
-      std::memmove(slot, slot + LeafEntrySize(),
-                   (count - it.index_ - 1) * LeafEntrySize());
-      SetNodeCount(page, count - 1);
-      it.leaf_.MarkDirty();
-      DcheckNodeInvariants(page);
-      --num_entries_;
-      FIX_RETURN_IF_ERROR(WriteMeta());
-      Publish(state_->generation);
-      return Status::OK();
-    }
-    FIX_RETURN_IF_ERROR(it.Next());
-  }
-  return Status::NotFound("entry not in B+-tree");
 }
 
 Result<BTree::Iterator> BTree::Seek(std::string_view key) {
@@ -658,19 +491,10 @@ Result<BTree::Iterator> BTree::Seek(std::string_view key) {
     it.snap_ = state_->published;
   }
   FIX_CHECK(it.snap_ != nullptr);
-  FIX_ASSIGN_OR_RETURN(it.leaf_, FindLeafFrom(it.snap_->root, key));
+  FIX_ASSIGN_OR_RETURN(it.leaf_, DescendPath(it.snap_->root, key, &it.path_));
   it.index_ = LeafLowerBound(it.leaf_.data(), key);
   it.valid_ = true;
-  // The lower bound may be past this leaf's last entry; hop forward.
-  while (it.valid_ && it.index_ >= NodeCount(it.leaf_.data())) {
-    uint32_t next = NodeLink(it.leaf_.data());
-    if (next == kInvalidPage) {
-      it.valid_ = false;
-      break;
-    }
-    FIX_ASSIGN_OR_RETURN(it.leaf_, pool_->Fetch(next));
-    it.index_ = 0;
-  }
+  FIX_RETURN_IF_ERROR(it.SkipExhaustedLeaves());
   return it;
 }
 
@@ -695,13 +519,18 @@ std::string_view BTree::Iterator::value() const {
 Status BTree::Iterator::Next() {
   FIX_CHECK(valid_);
   ++index_;
+  return SkipExhaustedLeaves();
+}
+
+Status BTree::Iterator::SkipExhaustedLeaves() {
+  // The position may be past this leaf's last entry (or the leaf emptied by
+  // lazy deletion): move to the next leaf that holds one.
   while (index_ >= NodeCount(leaf_.data())) {
-    uint32_t next = NodeLink(leaf_.data());
-    if (next == kInvalidPage) {
+    FIX_RETURN_IF_ERROR(tree_->NextLeaf(&path_, &leaf_));
+    if (!leaf_.valid()) {
       valid_ = false;
       return Status::OK();
     }
-    FIX_ASSIGN_OR_RETURN(leaf_, tree_->pool_->Fetch(next));
     index_ = 0;
   }
   return Status::OK();
@@ -852,136 +681,45 @@ Result<PageHandle> BTree::CowPage(PageId old_id) {
   return copy;
 }
 
-Status BTree::DescendPath(std::string_view key, std::vector<PathFrame>* path,
-                          PageId* leaf) {
-  path->clear();
-  PageId cur = root_;
-  for (;;) {
-    PageHandle node;
-    FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(cur));
-    if (NodeType(node.data()) == kLeaf) {
-      *leaf = cur;
-      return Status::OK();
-    }
-    uint16_t idx = InnerChildIndex(node.data(), key);
-    path->push_back(PathFrame{cur, idx});
-    cur = InnerChild(node.data(), idx);
-  }
-}
-
-Status BTree::CowPath(std::vector<PathFrame>* path, PageId* leaf) {
-  for (size_t i = 0; i < path->size(); ++i) {
-    PathFrame& frame = (*path)[i];
-    if (IsFresh(frame.id)) continue;
+Status BTree::CowPath(std::vector<PathFrame>* path, PageHandle* leaf) {
+  // Top-down, so the parent of each copy is already fresh and takes the new
+  // child id in place. Every subtree off the path stays shared, by
+  // reference, with the published generations.
+  for (size_t i = 0; i <= path->size(); ++i) {
+    const bool is_leaf = i == path->size();
+    const PageId id = is_leaf ? leaf->page_id() : (*path)[i].id;
+    if (IsFresh(id)) continue;
     PageHandle copy;
-    FIX_ASSIGN_OR_RETURN(copy, CowPage(frame.id));
+    FIX_ASSIGN_OR_RETURN(copy, CowPage(id));
     const PageId new_id = copy.page_id();
-    copy.Release();
     if (i == 0) {
       root_ = new_id;
     } else {
-      // The parent is fresh (processed on an earlier iteration).
       PageHandle parent;
       FIX_ASSIGN_OR_RETURN(parent, pool_->Fetch((*path)[i - 1].id));
       SetInnerChild(parent.data(), (*path)[i - 1].slot, new_id);
       parent.MarkDirty();
     }
-    frame.id = new_id;
-  }
-  if (!IsFresh(*leaf)) {
-    PageHandle copy;
-    FIX_ASSIGN_OR_RETURN(copy, CowPage(*leaf));
-    const PageId new_id = copy.page_id();
-    copy.Release();
-    if (path->empty()) {
-      root_ = new_id;
+    if (is_leaf) {
+      // A leaf from before meta v6 may carry a next-leaf id; drop it.
+      SetNodeLink(copy.data(), kInvalidPage);
+      *leaf = std::move(copy);
     } else {
-      PageHandle parent;
-      FIX_ASSIGN_OR_RETURN(parent, pool_->Fetch(path->back().id));
-      SetInnerChild(parent.data(), path->back().slot, new_id);
-      parent.MarkDirty();
+      (*path)[i].id = new_id;
     }
-    // The copy has a new page id, so the previous leaf's sibling link (which
-    // names the original) must be repointed in the new generation.
-    FIX_RETURN_IF_ERROR(CowPatchPredecessor(*path, new_id));
-    *leaf = new_id;
   }
   return Status::OK();
 }
 
-Status BTree::CowPatchPredecessor(const std::vector<PathFrame>& path,
-                                  PageId new_leaf) {
-  // Walk left along the leaf chain, copying as we go: the predecessor of
-  // the copied leaf must point at the copy, and if that predecessor is not
-  // itself part of the new generation it must be copied too — which renames
-  // it and cascades the same obligation one leaf further left. The cascade
-  // terminates at a fresh leaf or the chain head. `stack` mirrors the
-  // root-to-parent descent of the leaf whose predecessor we currently need.
-  std::vector<PathFrame> stack = path;
-  PageId target = new_leaf;  // link value the predecessor must carry
-  for (;;) {
-    // Step left: the predecessor lives under the deepest ancestor where we
-    // did not take child 0.
-    while (!stack.empty() && stack.back().slot == 0) stack.pop_back();
-    if (stack.empty()) return Status::OK();  // chain head: no predecessor
-    --stack.back().slot;
-    PageId cur;
-    {
-      PageHandle parent;
-      FIX_ASSIGN_OR_RETURN(parent, pool_->Fetch(stack.back().id));
-      cur = InnerChild(parent.data(), stack.back().slot);
-    }
-    // Rightmost descent to the predecessor leaf, copying inner nodes on the
-    // way down (their child pointers get patched beneath them).
-    for (;;) {
-      PageHandle node;
-      FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(cur));
-      if (NodeType(node.data()) == kLeaf) {
-        if (IsFresh(cur)) {
-          SetNodeLink(node.data(), target);
-          node.MarkDirty();
-          return Status::OK();
-        }
-        node.Release();
-        PageHandle copy;
-        FIX_ASSIGN_OR_RETURN(copy, CowPage(cur));
-        SetNodeLink(copy.data(), target);
-        copy.MarkDirty();
-        const PageId new_id = copy.page_id();
-        copy.Release();
-        PageHandle parent;
-        FIX_ASSIGN_OR_RETURN(parent, pool_->Fetch(stack.back().id));
-        SetInnerChild(parent.data(), stack.back().slot, new_id);
-        parent.MarkDirty();
-        // This leaf was renamed too: its own predecessor must be patched.
-        target = new_id;
-        break;
-      }
-      if (!IsFresh(cur)) {
-        node.Release();
-        PageHandle copy;
-        FIX_ASSIGN_OR_RETURN(copy, CowPage(cur));
-        const PageId new_id = copy.page_id();
-        copy.Release();
-        PageHandle parent;
-        FIX_ASSIGN_OR_RETURN(parent, pool_->Fetch(stack.back().id));
-        SetInnerChild(parent.data(), stack.back().slot, new_id);
-        parent.MarkDirty();
-        cur = new_id;
-        FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(cur));
-      }
-      const uint16_t count = NodeCount(node.data());
-      stack.push_back(PathFrame{cur, count});
-      cur = InnerChild(node.data(), count);
-    }
+Status BTree::Insert(std::string_view key, std::string_view value) {
+  if (key.size() != key_size_ || value.size() != value_size_) {
+    return Status::InvalidArgument("key/value size mismatch");
   }
-}
-
-Status BTree::InsertCow(std::string_view key, std::string_view value) {
+  if (!state_->in_batch) return Status::InvalidArgument("no COW batch open");
   std::vector<PathFrame> path;
-  PageId leaf_id = kInvalidPage;
-  FIX_RETURN_IF_ERROR(DescendPath(key, &path, &leaf_id));
-  FIX_RETURN_IF_ERROR(CowPath(&path, &leaf_id));
+  PageHandle leaf;
+  FIX_ASSIGN_OR_RETURN(leaf, DescendPath(root_, key, &path));
+  FIX_RETURN_IF_ERROR(CowPath(&path, &leaf));
 
   // Every node on the path is now fresh: mutate in place, splitting upward
   // iteratively along the recorded path.
@@ -989,8 +727,6 @@ Status BTree::InsertCow(std::string_view key, std::string_view value) {
   std::string sep;
   PageId right_id = kInvalidPage;
   {
-    PageHandle leaf;
-    FIX_ASSIGN_OR_RETURN(leaf, pool_->Fetch(leaf_id));
     char* page = leaf.data();
     uint16_t count = NodeCount(page);
     uint16_t pos = LeafLowerBound(page, key);
@@ -1004,21 +740,21 @@ Status BTree::InsertCow(std::string_view key, std::string_view value) {
       leaf.MarkDirty();
       DcheckNodeInvariants(page);
     } else {
-      // Split: same shape as the legacy path, but the right sibling is a
-      // fresh page and the left (this leaf) is already fresh, so the new
-      // right leaf's predecessor needs no chain patch.
+      // Split: left keeps the first half, a fresh right leaf gets the rest.
       PageHandle right;
       FIX_ASSIGN_OR_RETURN(right, AllocNodePage());
       char* rpage = right.data();
       SetNodeType(rpage, kLeaf);
+      SetNodeLink(rpage, kInvalidPage);
       uint16_t mid = count / 2;
       uint16_t right_count = count - mid;
       std::memcpy(LeafEntry(rpage, 0), LeafEntry(page, mid),
                   right_count * LeafEntrySize());
       SetNodeCount(rpage, right_count);
-      SetNodeLink(rpage, NodeLink(page));
       SetNodeCount(page, mid);
-      SetNodeLink(page, right.page_id());
+      // Insert into whichever half owns position `pos`. Inserting at pos ==
+      // mid (end of left) is order-correct even when key equals the
+      // separator, because inner navigation stays left on equality.
       char* target;
       if (pos <= mid) {
         uint16_t c = NodeCount(page);
@@ -1045,6 +781,7 @@ Status BTree::InsertCow(std::string_view key, std::string_view value) {
       right_id = right.page_id();
     }
   }
+  leaf.Release();
 
   for (size_t i = path.size(); pending && i-- > 0;) {
     PageHandle node;
@@ -1116,77 +853,41 @@ Status BTree::InsertCow(std::string_view key, std::string_view value) {
   return Status::OK();
 }
 
-Status BTree::DeleteCow(std::string_view key, std::string_view value) {
+Status BTree::Delete(std::string_view key, std::string_view value) {
+  if (key.size() != key_size_ || value.size() != value_size_) {
+    return Status::InvalidArgument("key/value size mismatch");
+  }
+  if (!state_->in_batch) return Status::InvalidArgument("no COW batch open");
   // Locate lazily (no copying) and only COW the path once the entry to
   // remove is found; a miss leaves the working generation untouched.
   std::vector<PathFrame> path;
-  PageId leaf_id = kInvalidPage;
-  FIX_RETURN_IF_ERROR(DescendPath(key, &path, &leaf_id));
-  for (;;) {
-    int found = -1;
-    bool past = false;
-    {
-      PageHandle leaf;
-      FIX_ASSIGN_OR_RETURN(leaf, pool_->Fetch(leaf_id));
-      const char* page = leaf.data();
-      const uint16_t count = NodeCount(page);
-      for (uint16_t i = LeafLowerBound(page, key); i < count; ++i) {
-        if (CompareKey(LeafEntry(page, i), key) > 0) {
-          past = true;
-          break;
-        }
-        if (std::memcmp(LeafEntry(page, i) + key_size_, value.data(),
-                        value_size_) == 0) {
-          found = i;
-          break;
-        }
+  PageHandle leaf;
+  FIX_ASSIGN_OR_RETURN(leaf, DescendPath(root_, key, &path));
+  while (leaf.valid()) {
+    const char* page = leaf.data();
+    const uint16_t count = NodeCount(page);
+    for (uint16_t i = LeafLowerBound(page, key); i < count; ++i) {
+      if (CompareKey(LeafEntry(page, i), key) > 0) {
+        return Status::NotFound("entry not in B+-tree");
       }
-    }
-    if (found >= 0) {
-      FIX_RETURN_IF_ERROR(CowPath(&path, &leaf_id));
-      PageHandle leaf;
-      FIX_ASSIGN_OR_RETURN(leaf, pool_->Fetch(leaf_id));
-      char* page = leaf.data();
-      uint16_t count = NodeCount(page);
-      char* slot = LeafEntry(page, static_cast<uint16_t>(found));
+      if (std::memcmp(LeafEntry(page, i) + key_size_, value.data(),
+                      value_size_) != 0) {
+        continue;
+      }
+      FIX_RETURN_IF_ERROR(CowPath(&path, &leaf));
+      char* slot = LeafEntry(leaf.data(), i);
       std::memmove(slot, slot + LeafEntrySize(),
-                   (count - found - 1) * LeafEntrySize());
-      SetNodeCount(page, count - 1);
+                   (count - i - 1) * LeafEntrySize());
+      SetNodeCount(leaf.data(), count - 1);
       leaf.MarkDirty();
-      DcheckNodeInvariants(page);
+      DcheckNodeInvariants(leaf.data());
       --num_entries_;
       return Status::OK();
     }
-    if (past) return Status::NotFound("entry not in B+-tree");
-    // Duplicate run continues in the next leaf: advance via the path (not
-    // the sibling link) so the frames stay aligned for the eventual COW.
-    bool advanced = false;
-    while (!path.empty()) {
-      PathFrame& frame = path.back();
-      PageHandle node;
-      FIX_ASSIGN_OR_RETURN(node, pool_->Fetch(frame.id));
-      if (frame.slot < NodeCount(node.data())) {
-        ++frame.slot;
-        PageId cur = InnerChild(node.data(), frame.slot);
-        node.Release();
-        for (;;) {
-          PageHandle down;
-          FIX_ASSIGN_OR_RETURN(down, pool_->Fetch(cur));
-          if (NodeType(down.data()) == kLeaf) {
-            leaf_id = cur;
-            break;
-          }
-          path.push_back(PathFrame{cur, 0});
-          cur = InnerChild(down.data(), 0);
-        }
-        advanced = true;
-        break;
-      }
-      node.Release();
-      path.pop_back();
-    }
-    if (!advanced) return Status::NotFound("entry not in B+-tree");
+    // The duplicate run continues in the next leaf.
+    FIX_RETURN_IF_ERROR(NextLeaf(&path, &leaf));
   }
+  return Status::NotFound("entry not in B+-tree");
 }
 
 // --- structural verification ------------------------------------------------
@@ -1274,35 +975,25 @@ Status BTree::VerifyAndCollect(std::unordered_set<PageId>* reachable) {
   std::vector<PageId> leaves;
   FIX_RETURN_IF_ERROR(VerifyNode(root_, 1, reachable, &leaves));
 
-  // The sibling chain must thread the leaves exactly in discovery (key)
-  // order and terminate, keys must be globally non-descending across it,
-  // and the entries it holds must add up to the meta count.
+  // Keys must be non-descending across the leaves in discovery (key) order,
+  // and the entries they hold must add up to the meta count.
   uint64_t total_entries = 0;
   std::string prev_key;
   bool have_prev = false;
-  for (size_t i = 0; i < leaves.size(); ++i) {
+  for (PageId id : leaves) {
     PageHandle leaf;
-    FIX_ASSIGN_OR_RETURN(leaf, pool_->Fetch(leaves[i]));
+    FIX_ASSIGN_OR_RETURN(leaf, pool_->Fetch(id));
     const char* page = leaf.data();
     const uint16_t count = NodeCount(page);
     total_entries += count;
     for (uint16_t j = 0; j < count; ++j) {
       const char* key = LeafEntry(page, j);
       if (have_prev && std::memcmp(prev_key.data(), key, key_size_) > 0) {
-        return Status::Corruption("keys out of order across leaf chain at page " +
-                                  std::to_string(leaves[i]));
+        return Status::Corruption("keys out of order across leaves at page " +
+                                  std::to_string(id));
       }
       prev_key.assign(key, key_size_);
       have_prev = true;
-    }
-    const uint32_t link = NodeLink(page);
-    const PageId expected =
-        (i + 1 < leaves.size()) ? leaves[i + 1] : kInvalidPage;
-    if (link != expected) {
-      return Status::Corruption("leaf sibling chain broken at page " +
-                                std::to_string(leaves[i]) + ": link " +
-                                std::to_string(link) + ", expected " +
-                                std::to_string(expected));
     }
   }
   if (total_entries != num_entries_) {

@@ -12,40 +12,40 @@
 //   other pages     nodes:
 //     [0]  type (0 = leaf, 1 = inner)
 //     [2]  count u16
-//     [4]  next-leaf page id (leaf) / first-child page id (inner)
+//     [4]  inner: first-child page id. leaf: unused, written as
+//          kInvalidPage (files from before meta v6 may hold a stale
+//          next-leaf id there; nothing reads it)
 //     [8]  entries — leaf: count * (key, value)
 //                    inner: count * (separator key, right child id)
 //   An inner node with count separators has count+1 children; separator i
 //   is the smallest key in child i+1's subtree.
 //
+// Leaves are not chained. Iteration keeps the root-to-leaf path and steps
+// to the next leaf through it (NextLeaf), the way a shadowing B-tree must
+// (Rodeh, "B-trees, Shadowing, and Clones", ACM TOS 2008): a sibling link
+// would rename with every copied leaf and drag its left neighbour into the
+// copy, and that neighbour's left neighbour, and so on.
+//
 // Deletion removes the leaf entry without rebalancing (lazy deletion), which
 // is sufficient for this workload: FIX indexes are bulk-built and read-heavy.
 //
-// Write paths — there are two, with different contracts:
-//
-//   * Legacy in-place (Insert/Delete outside a batch): mutates pages
-//     directly, exactly the classic single-writer B+-tree. Cheap, not
-//     crash-atomic, and must not overlap with any read.
-//   * COW batch (BeginBatch .. Insert/Delete .. PrepareCommit /
-//     FinalizeCommit, or AbortBatch): the writer builds generation N+1
-//     out-of-place in freshly allocated pages — every page reachable from a
-//     published snapshot is copied before modification, including the
-//     leaf-chain predecessor of any copied leaf (its sibling link must point
-//     at the copy, and patching it in place would corrupt both older
-//     snapshots and the crash-recovery story, so the copy cascades left
-//     until it meets a page that is already part of the new generation).
-//     Readers keep serving from the pinned generation-N snapshot
-//     throughout; pages superseded by N+1 are retired and reused only after
-//     the last reader of every older generation unpins AND the page is not
-//     referenced by the durable on-disk root.
+// Write paths: BulkLoad builds a fresh tree in one pass; after that every
+// change goes through a COW batch (BeginBatch .. Insert/Delete ..
+// PrepareCommit / FinalizeCommit, or AbortBatch). The writer builds
+// generation N+1 out of place: the root-to-leaf path of each touched leaf
+// is copied into freshly allocated pages, and every other subtree is shared
+// by reference with generation N. A one-entry commit therefore writes
+// height pages, plus one per split. Readers keep serving from the pinned
+// generation-N snapshot throughout; pages superseded by N+1 are retired and
+// reused only after the last reader of every older generation unpins AND
+// the page is not referenced by the durable on-disk root.
 //
 // Thread-safety — snapshot contract: Get/Seek/SeekFirst and iterator Next
 // may be called from any number of threads concurrently, and remain safe
 // while a single COW-batch writer is active: each read pins the published
 // generation snapshot (a shared_ptr handle) and only ever touches that
 // generation's immutable pages plus the lock-striped BufferPool. Each
-// thread must use its own Iterator. The legacy in-place mutators
-// (Insert/Delete outside a batch), BulkLoad, and Flush remain fully
+// thread must use its own Iterator. BulkLoad and Flush remain fully
 // writer-exclusive: they must not overlap with each other or with any
 // read. At most one batch writer may exist at a time. See
 // docs/ARCHITECTURE.md, "Write path: COW generations + WAL".
@@ -73,6 +73,14 @@ namespace fix {
 inline constexpr uint32_t kBTreeMagic = 0x46495842;
 
 class BTree {
+ private:
+  /// One inner level of a root-to-leaf descent: the node and the child slot
+  /// taken.
+  struct PathFrame {
+    PageId id = kInvalidPage;
+    uint16_t slot = 0;
+  };
+
  public:
   /// One published generation: the immutable root every reader of that
   /// generation descends from. Held by shared_ptr; the last release
@@ -120,14 +128,14 @@ class BTree {
   BTree(BTree&&) noexcept;
   BTree& operator=(BTree&&) noexcept;
 
-  /// Inserts one entry. Outside a batch this is the legacy in-place,
-  /// writer-exclusive path; inside a batch it copies-on-write every page it
-  /// touches, leaving all published generations intact.
+  /// Inserts one entry into the open COW batch, copying the root-to-leaf
+  /// path it touches and leaving all published generations intact.
   ///
-  /// @pre key/value sizes match the tree's configuration.
-  /// @post num_entries() grows by one; splits may add pages but never move
-  ///       existing entries to earlier keys.
-  /// @return OK, InvalidArgument on a size mismatch, or a page I/O error.
+  /// @pre key/value sizes match the tree's configuration; a batch is open.
+  /// @post the batch's entry count grows by one; splits may add pages but
+  ///       never move existing entries to earlier keys.
+  /// @return OK, InvalidArgument on a size mismatch or outside a batch
+  ///         ("no COW batch open"), or a page I/O error.
   [[nodiscard]] Status Insert(std::string_view key, std::string_view value);
 
   /// Bulk-loads `entries` — which must be sorted by key, non-descending
@@ -135,8 +143,7 @@ class BTree {
   /// building 100%-packed leaves left to right and the inner levels bottom
   /// up. One sequential pass instead of n random root-to-leaf descents:
   /// every page is written exactly once and leaves carry no split slack.
-  /// The tree remains fully mutable afterwards (Insert/Delete work as
-  /// usual).
+  /// Later changes go through COW batches as usual.
   ///
   /// @pre the tree is freshly created and empty; `entries` is sorted.
   /// @return OK, InvalidArgument if the tree is not empty, the input is
@@ -151,18 +158,18 @@ class BTree {
   ///         descent's page reads.
   [[nodiscard]] Result<std::string> Get(std::string_view key);
 
-  /// Removes the first entry equal to (key, value). Lazy: pages are never
-  /// merged. Outside a batch the removal is in place; inside a batch it is
-  /// copy-on-write like Insert.
+  /// Removes the first entry equal to (key, value) in the open COW batch.
+  /// Lazy: pages are never merged. Only the path to the leaf that holds the
+  /// entry is copied; a miss copies nothing.
   ///
-  /// @return OK, NotFound if no such pair exists, or a page I/O error.
+  /// @return OK, NotFound if no such pair exists, InvalidArgument on a size
+  ///         mismatch or outside a batch, or a page I/O error.
   [[nodiscard]] Status Delete(std::string_view key, std::string_view value);
 
   // --- COW batch (generation N -> N+1) --------------------------------------
 
-  /// Starts building generation N+1. All Insert/Delete calls until
-  /// PrepareCommit/AbortBatch go copy-on-write; readers keep serving
-  /// generation N.
+  /// Starts building generation N+1. Insert/Delete are accepted until
+  /// PrepareCommit/AbortBatch; readers keep serving generation N.
   [[nodiscard]] Status BeginBatch();
 
   /// Flushes every page of the pending generation and fsyncs the data file,
@@ -198,7 +205,9 @@ class BTree {
 
   /// Forward iterator over (key, value) pairs in key order. Holds a pin on
   /// the generation it was created from: the writer may commit newer
-  /// generations while it runs, and it will keep seeing its own.
+  /// generations while it runs, and it will keep seeing its own. It crosses
+  /// leaf boundaries through its root-to-leaf path, re-fetching inner pages
+  /// of that generation, which no later commit modifies.
   class Iterator {
    public:
     bool Valid() const { return valid_; }
@@ -210,8 +219,13 @@ class BTree {
 
    private:
     friend class BTree;
+    /// Moves past leaves with no entry at or after index_; clears valid_
+    /// after the last leaf.
+    [[nodiscard]] Status SkipExhaustedLeaves();
+
     BTree* tree_ = nullptr;
     std::shared_ptr<const Snapshot> snap_;
+    std::vector<PathFrame> path_;  // inner levels above leaf_, in snap_
     PageHandle leaf_;
     uint16_t index_ = 0;
     bool valid_ = false;
@@ -245,10 +259,9 @@ class BTree {
 
   /// Full structural audit, independent of page checksums: walks every node
   /// from the root checking node types, depths (all leaves at height_),
-  /// fanout bounds, separator/key ordering, child-id ranges, cycles, the
-  /// leaf sibling chain (must equal the in-order leaf sequence and end at
-  /// kInvalidPage), global key order across the chain, and that the leaf
-  /// entry total matches the meta entry count. Returns kCorruption with a
+  /// fanout bounds, separator/key ordering, child-id ranges, cycles, global
+  /// key order across the leaves, and that the leaf entry total matches the
+  /// meta entry count. Returns kCorruption with a
   /// description of the first violation. Catches damage that per-page CRCs
   /// cannot — pages that are internally consistent but mutually inconsistent
   /// (e.g. a crash that persisted only some dirty pages).
@@ -331,15 +344,6 @@ class BTree {
   /// Child index to descend into for `key`.
   uint16_t InnerChildIndex(const char* page, std::string_view key) const;
 
-  struct SplitResult {
-    bool split = false;
-    std::string separator;  // smallest key of the new right node
-    PageId right = kInvalidPage;
-  };
-
-  [[nodiscard]] Status InsertRec(PageId node, std::string_view key, std::string_view value,
-                   SplitResult* out);
-
   [[nodiscard]] Status WriteMeta();
   [[nodiscard]] Status ReadMeta();
 
@@ -349,18 +353,19 @@ class BTree {
                                   std::unordered_set<PageId>* visited,
                                   std::vector<PageId>* leaves);
 
-  /// Descends to the leaf that would contain `key`, starting from `root`.
-  [[nodiscard]] Result<PageHandle> FindLeafFrom(PageId root,
-                                                std::string_view key);
+  /// Descends from `root` by `key`, recording the inner path in `*path`,
+  /// and returns the pinned leaf that would contain `key`.
+  [[nodiscard]] Result<PageHandle> DescendPath(PageId root,
+                                               std::string_view key,
+                                               std::vector<PathFrame>* path);
+
+  /// Steps `*leaf` to the next leaf in key order through `path` (its inner
+  /// levels, updated in place); `*leaf` is released past the last leaf. The
+  /// one leaf advance shared by iterators and Delete.
+  [[nodiscard]] Status NextLeaf(std::vector<PathFrame>* path,
+                                PageHandle* leaf);
 
   // --- COW machinery (batch path; see btree.cc) -----------------------------
-
-  /// One inner level of a root-to-leaf descent: the node and the child slot
-  /// taken. Fresh after CowPath.
-  struct PathFrame {
-    PageId id = kInvalidPage;
-    uint16_t slot = 0;
-  };
 
   [[nodiscard]] Result<PageHandle> AllocNodePage();
   bool IsFresh(PageId id) const;
@@ -370,31 +375,10 @@ class BTree {
   /// the pinned copy.
   [[nodiscard]] Result<PageHandle> CowPage(PageId old_id);
 
-  /// Descends from the working root by `key` recording the inner path (no
-  /// copying). `*leaf` receives the leaf id.
-  [[nodiscard]] Status DescendPath(std::string_view key,
-                                   std::vector<PathFrame>* path, PageId* leaf);
-
-  /// Makes every node on `path` plus the leaf fresh (copy-on-write),
-  /// patching parent child slots and — when the leaf itself is copied —
-  /// the leaf-chain predecessor (CowPatchPredecessor). Updates path ids and
-  /// `*leaf` in place.
-  [[nodiscard]] Status CowPath(std::vector<PathFrame>* path, PageId* leaf);
-
-  /// Repoints the sibling link of the leaf preceding `path`'s leaf at
-  /// `new_leaf`. Copies the predecessor (and its ancestors) if it is not
-  /// fresh, cascading left until it meets a fresh leaf or the chain head.
-  [[nodiscard]] Status CowPatchPredecessor(const std::vector<PathFrame>& path,
-                                           PageId new_leaf);
-
-  /// Batch-mode insert: COW descent + in-leaf insert + iterative splits up
-  /// the recorded path.
-  [[nodiscard]] Status InsertCow(std::string_view key, std::string_view value);
-
-  /// Batch-mode delete of the first (key, value) match: walks the duplicate
-  /// run leaf by leaf (path successor walk), copying only the path that
-  /// actually gets mutated.
-  [[nodiscard]] Status DeleteCow(std::string_view key, std::string_view value);
+  /// Makes every node on `path` plus `*leaf` fresh (copy-on-write),
+  /// patching parent child slots. Updates the path ids in place and
+  /// repoints `*leaf` at the pinned copy.
+  [[nodiscard]] Status CowPath(std::vector<PathFrame>* path, PageHandle* leaf);
 
   /// Publishes the current writer view as generation `gen`.
   void Publish(uint64_t gen);

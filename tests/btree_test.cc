@@ -1,6 +1,7 @@
 // B+-tree tests: basics, splits across multiple levels, duplicates spanning
 // leaf boundaries, range scans, deletion, persistence, and a randomized
-// model test against std::multimap.
+// model test against std::multimap. Every write goes through a COW batch
+// (or BulkLoad), the tree's only write paths.
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,32 @@ class BTreeTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
+  /// Publishes the open COW batch (PrepareCommit + FinalizeCommit).
+  void Commit() {
+    auto commit = tree_->PrepareCommit();
+    ASSERT_TRUE(commit.ok()) << commit.status();
+    tree_->FinalizeCommit();
+  }
+
+  /// Inserts `entries`, in order, as one committed COW batch.
+  void InsertBatch(
+      const std::vector<std::pair<std::string, std::string>>& entries) {
+    ASSERT_TRUE(tree_->BeginBatch().ok());
+    for (const auto& [key, value] : entries) {
+      ASSERT_TRUE(tree_->Insert(key, value).ok());
+    }
+    Commit();
+  }
+
+  /// Deletes (key, value) in a one-entry COW batch, committed whether or
+  /// not the entry was found; returns Delete's status.
+  Status DeleteOne(const std::string& key, const std::string& value) {
+    EXPECT_TRUE(tree_->BeginBatch().ok());
+    Status deleted = tree_->Delete(key, value);
+    Commit();
+    return deleted;
+  }
+
   std::string dir_;
   PageFile file_;
   std::unique_ptr<BufferPool> pool_;
@@ -60,9 +87,7 @@ TEST_F(BTreeTest, EmptyTree) {
 }
 
 TEST_F(BTreeTest, InsertAndGet) {
-  ASSERT_TRUE(tree_->Insert(K(5), V(50)).ok());
-  ASSERT_TRUE(tree_->Insert(K(3), V(30)).ok());
-  ASSERT_TRUE(tree_->Insert(K(9), V(90)).ok());
+  InsertBatch({{K(5), V(50)}, {K(3), V(30)}, {K(9), V(90)}});
   EXPECT_EQ(tree_->num_entries(), 3u);
   auto got = tree_->Get(K(3));
   ASSERT_TRUE(got.ok());
@@ -74,17 +99,23 @@ TEST_F(BTreeTest, SizeMismatchRejected) {
   EXPECT_FALSE(tree_->Insert("short", V(1)).ok());
   EXPECT_FALSE(tree_->Insert(K(1), "bad").ok());
   EXPECT_FALSE(tree_->Get("x").ok());
+  // Well-sized writes outside a COW batch are refused too: the batch is
+  // the only write path.
+  EXPECT_TRUE(tree_->Insert(K(1), V(1)).IsInvalidArgument());
+  EXPECT_TRUE(tree_->Delete(K(1), V(1)).IsInvalidArgument());
+  EXPECT_EQ(tree_->num_entries(), 0u);
 }
 
 TEST_F(BTreeTest, OrderedIterationAfterManySplits) {
   const int n = 20000;  // forces multi-level splits with 8+8 byte entries
   Rng rng(11);
-  std::vector<uint64_t> keys;
-  keys.reserve(n);
-  for (int i = 0; i < n; ++i) keys.push_back(rng.Next());
-  for (uint64_t k : keys) {
-    ASSERT_TRUE(tree_->Insert(K(k), V(k ^ 0xff)).ok());
+  std::vector<std::pair<std::string, std::string>> entries;
+  entries.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    uint64_t k = rng.Next();
+    entries.emplace_back(K(k), V(k ^ 0xff));
   }
+  InsertBatch(entries);
   EXPECT_EQ(tree_->num_entries(), static_cast<uint64_t>(n));
   EXPECT_GT(tree_->height(), 1u);
 
@@ -105,12 +136,11 @@ TEST_F(BTreeTest, OrderedIterationAfterManySplits) {
 }
 
 TEST_F(BTreeTest, SequentialInsertAscendingAndDescending) {
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(tree_->Insert(K(i), V(i)).ok());
-  }
-  for (int i = 9999; i >= 7000; --i) {
-    ASSERT_TRUE(tree_->Insert(K(i), V(i)).ok());
-  }
+  std::vector<std::pair<std::string, std::string>> ascending, descending;
+  for (int i = 0; i < 3000; ++i) ascending.emplace_back(K(i), V(i));
+  for (int i = 9999; i >= 7000; --i) descending.emplace_back(K(i), V(i));
+  InsertBatch(ascending);
+  InsertBatch(descending);
   for (int i = 0; i < 3000; i += 97) {
     auto got = tree_->Get(K(i));
     ASSERT_TRUE(got.ok()) << i;
@@ -124,11 +154,13 @@ TEST_F(BTreeTest, SequentialInsertAscendingAndDescending) {
 TEST_F(BTreeTest, DuplicateKeysAllRetrievable) {
   // Insert many duplicates of few keys so runs span leaf splits.
   const int dups = 800;
+  std::vector<std::pair<std::string, std::string>> entries;
   for (int i = 0; i < dups; ++i) {
-    ASSERT_TRUE(tree_->Insert(K(42), V(i)).ok());
-    ASSERT_TRUE(tree_->Insert(K(7), V(i)).ok());
+    entries.emplace_back(K(42), V(i));
+    entries.emplace_back(K(7), V(i));
   }
-  ASSERT_TRUE(tree_->Insert(K(100), V(0)).ok());
+  entries.emplace_back(K(100), V(0));
+  InsertBatch(entries);
 
   auto it = tree_->Seek(K(42));
   ASSERT_TRUE(it.ok());
@@ -144,9 +176,7 @@ TEST_F(BTreeTest, DuplicateKeysAllRetrievable) {
 }
 
 TEST_F(BTreeTest, SeekSemantics) {
-  for (uint64_t k : {10u, 20u, 30u}) {
-    ASSERT_TRUE(tree_->Insert(K(k), V(k)).ok());
-  }
+  InsertBatch({{K(10), V(10)}, {K(20), V(20)}, {K(30), V(30)}});
   auto it = tree_->Seek(K(15));
   ASSERT_TRUE(it.ok());
   ASSERT_TRUE(it->Valid());
@@ -160,23 +190,21 @@ TEST_F(BTreeTest, SeekSemantics) {
 }
 
 TEST_F(BTreeTest, DeleteSpecificValue) {
-  ASSERT_TRUE(tree_->Insert(K(1), V(10)).ok());
-  ASSERT_TRUE(tree_->Insert(K(1), V(11)).ok());
-  ASSERT_TRUE(tree_->Insert(K(2), V(20)).ok());
-  ASSERT_TRUE(tree_->Delete(K(1), V(10)).ok());
+  InsertBatch({{K(1), V(10)}, {K(1), V(11)}, {K(2), V(20)}});
+  ASSERT_TRUE(DeleteOne(K(1), V(10)).ok());
   EXPECT_EQ(tree_->num_entries(), 2u);
   auto got = tree_->Get(K(1));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, V(11));
-  EXPECT_TRUE(tree_->Delete(K(1), V(11)).ok());
+  EXPECT_TRUE(DeleteOne(K(1), V(11)).ok());
   EXPECT_FALSE(tree_->Get(K(1)).ok());
-  EXPECT_FALSE(tree_->Delete(K(1), V(11)).ok());  // already gone
+  EXPECT_TRUE(DeleteOne(K(1), V(11)).IsNotFound());  // already gone
 }
 
 TEST_F(BTreeTest, PersistAndReopen) {
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(tree_->Insert(K(i * 3), V(i)).ok());
-  }
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (int i = 0; i < 5000; ++i) entries.emplace_back(K(i * 3), V(i));
+  InsertBatch(entries);
   ASSERT_TRUE(tree_->Flush().ok());
   tree_.reset();
   pool_.reset();
@@ -205,31 +233,44 @@ TEST_F(BTreeTest, OpenRejectsGarbageFile) {
 }
 
 // Randomized model test: the tree must agree with std::multimap under a
-// mixed insert/delete/lookup workload.
+// mixed insert/delete/lookup workload, committed 100 operations per COW
+// batch. Lookups read the published generation, so they are checked right
+// after their batch commits.
 TEST_F(BTreeTest, ModelConformance) {
   Rng rng(77);
   std::multimap<std::string, std::string> model;
-  for (int op = 0; op < 30000; ++op) {
-    uint64_t k = rng.Uniform(500);  // small key space -> many duplicates
-    int action = static_cast<int>(rng.Uniform(10));
-    if (action < 6) {
-      uint64_t v = rng.Next();
-      ASSERT_TRUE(tree_->Insert(K(k), V(v)).ok());
-      model.emplace(K(k), V(v));
-    } else if (action < 8) {
-      auto range = model.equal_range(K(k));
-      if (range.first != range.second) {
-        ASSERT_TRUE(tree_->Delete(K(k), range.first->second).ok());
-        model.erase(range.first);
+  constexpr int kOps = 30000;
+  constexpr int kOpsPerBatch = 100;
+  for (int op = 0; op < kOps;) {
+    ASSERT_TRUE(tree_->BeginBatch().ok());
+    std::vector<uint64_t> lookups;
+    for (int end = op + kOpsPerBatch; op < end; ++op) {
+      uint64_t k = rng.Uniform(500);  // small key space -> many duplicates
+      int action = static_cast<int>(rng.Uniform(10));
+      if (action < 6) {
+        uint64_t v = rng.Next();
+        ASSERT_TRUE(tree_->Insert(K(k), V(v)).ok());
+        model.emplace(K(k), V(v));
+      } else if (action < 8) {
+        auto range = model.equal_range(K(k));
+        if (range.first != range.second) {
+          ASSERT_TRUE(tree_->Delete(K(k), range.first->second).ok());
+          model.erase(range.first);
+        } else {
+          EXPECT_TRUE(tree_->Delete(K(k), V(0)).IsNotFound());
+        }
       } else {
-        EXPECT_FALSE(tree_->Get(K(k)).ok());
+        lookups.push_back(k);
       }
-    } else {
+    }
+    Commit();
+    for (uint64_t k : lookups) {
       bool in_model = model.count(K(k)) > 0;
       EXPECT_EQ(tree_->Get(K(k)).ok(), in_model);
     }
   }
   EXPECT_EQ(tree_->num_entries(), model.size());
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
   // Full-scan equivalence.
   auto it = tree_->SeekFirst();
   ASSERT_TRUE(it.ok());
@@ -259,8 +300,8 @@ std::vector<std::pair<std::string, std::string>> MakeEntries(size_t n) {
 class BTreeBulkLoadTest : public BTreeTest {
  protected:
   /// Bulk-loads `entries` into the fixture tree and cross-checks it against
-  /// a second, incrementally-filled tree: same count, same full scan, same
-  /// point lookups, and both pass the structural audit.
+  /// a second tree filled by one COW batch: same count, same full scan,
+  /// same point lookups, and both pass the structural audit.
   void LoadAndCompare(
       const std::vector<std::pair<std::string, std::string>>& entries) {
     ASSERT_TRUE(tree_->BulkLoad(entries).ok());
@@ -273,9 +314,12 @@ class BTreeBulkLoadTest : public BTreeTest {
       BufferPool ref_pool(&ref_file, 64);
       auto ref = BTree::Create(&ref_pool, kKey, kVal);
       ASSERT_TRUE(ref.ok());
+      ASSERT_TRUE(ref->BeginBatch().ok());
       for (const auto& [k, v] : entries) {
         ASSERT_TRUE(ref->Insert(k, v).ok());
       }
+      ASSERT_TRUE(ref->PrepareCommit().ok());
+      ref->FinalizeCommit();
       ASSERT_TRUE(ref->VerifyStructure().ok());
 
       auto it = tree_->SeekFirst();
@@ -305,8 +349,8 @@ TEST_F(BTreeBulkLoadTest, Empty) {
   ASSERT_TRUE(tree_->BulkLoad({}).ok());
   EXPECT_EQ(tree_->num_entries(), 0u);
   ASSERT_TRUE(tree_->VerifyStructure().ok());
-  // The tree stays usable for incremental inserts afterwards.
-  ASSERT_TRUE(tree_->Insert(K(1), V(1)).ok());
+  // The tree stays usable for COW-batch inserts afterwards.
+  InsertBatch({{K(1), V(1)}});
   EXPECT_TRUE(tree_->Get(K(1)).ok());
 }
 
@@ -321,8 +365,11 @@ TEST_F(BTreeBulkLoadTest, OneLeafPlusOne) {
 }
 
 TEST_F(BTreeBulkLoadTest, MultiLevel) {
-  // Enough for several inner levels with 8-byte keys.
-  LoadAndCompare(MakeEntries(10000));
+  // One entry more than a packed height-2 tree holds (341 children of
+  // (kPageSize - 8) / 12 separators + 1), so full scans must climb two
+  // levels to cross from one inner node's leaves to the next.
+  LoadAndCompare(MakeEntries(LeafCap() * 341 + 1));
+  EXPECT_EQ(tree_->height(), 3u);
 }
 
 TEST_F(BTreeBulkLoadTest, DuplicateKeysSurvive) {
@@ -361,7 +408,7 @@ TEST_F(BTreeBulkLoadTest, RejectsWrongSizes) {
 }
 
 TEST_F(BTreeBulkLoadTest, RejectsNonEmptyTree) {
-  ASSERT_TRUE(tree_->Insert(K(1), V(1)).ok());
+  InsertBatch({{K(1), V(1)}});
   EXPECT_FALSE(tree_->BulkLoad(MakeEntries(3)).ok());
 }
 
@@ -539,6 +586,30 @@ TEST_F(BTreeBatchTest, GenerationPersistsAcrossCheckpointAndReopen) {
   EXPECT_EQ(tree_->generation(), gen);
   EXPECT_EQ(tree_->num_entries(), 200u);
   ASSERT_TRUE(tree_->VerifyStructure().ok());
+}
+
+// A one-entry commit copies its root-to-leaf path and nothing else: every
+// subtree off the path — in particular every leaf left of the touched one —
+// stays shared with the published generation. Here the last of 16 packed
+// leaves splits, so the file may grow by the leaf copy, its split sibling
+// and the root copy.
+TEST_F(BTreeBatchTest, OneEntryCommitCopiesOnlyItsPath) {
+  const size_t n = 16 * LeafCap();
+  ASSERT_TRUE(tree_->BulkLoad(MakeEntries(n)).ok());
+  ASSERT_EQ(tree_->height(), 2u);
+  const PageId before = file_.num_pages();
+
+  ASSERT_TRUE(tree_->BeginBatch().ok());
+  ASSERT_TRUE(tree_->Insert(K(n), V(n)).ok());  // sorts after every key
+  ASSERT_TRUE(tree_->PrepareCommit().ok());
+  EXPECT_LE(file_.num_pages(), before + tree_->height() + 1);
+  tree_->FinalizeCommit();
+
+  EXPECT_EQ(tree_->num_entries(), n + 1);
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
+  auto got = tree_->Get(K(n));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, V(n));
 }
 
 // Superseded pages are recycled once their generation is durable and

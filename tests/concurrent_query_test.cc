@@ -361,7 +361,10 @@ TEST_F(ConcurrentQueryTest, BTreeIteratorPinsGenerationAcrossCommit) {
   auto tree = BTree::Create(&pool, /*key_size=*/8, /*value_size=*/8);
   ASSERT_TRUE(tree.ok()) << tree.status();
 
-  constexpr int kPerBatch = 100;
+  // 1,000 entries need at least four 255-entry leaves, so the pinned
+  // iterator crosses leaf boundaries through generation 1's inner pages
+  // after the writer has committed generation 2.
+  constexpr int kPerBatch = 1000;
   ASSERT_TRUE(tree->BeginBatch().ok());
   for (int i = 0; i < kPerBatch; ++i) {  // generation 1: even keys
     ASSERT_TRUE(tree->Insert(Key8(2 * i), Key8(2 * i)).ok());
@@ -370,6 +373,7 @@ TEST_F(ConcurrentQueryTest, BTreeIteratorPinsGenerationAcrossCommit) {
   ASSERT_TRUE(c1.ok()) << c1.status();
   tree->FinalizeCommit();
   const uint64_t gen1 = tree->generation();
+  ASSERT_GE(tree->height(), 2u);
 
   // Pin generation 1 and consume a prefix before the writer moves on.
   auto pinned = tree->SeekFirst();

@@ -474,6 +474,9 @@ TEST(IndexMetaCodecTest, StorageFieldsRoundTripAndRejectTruncation) {
   std::string v0 = buf;
   v0[4] = 0;  // varint version right after the 4-byte magic
   EXPECT_TRUE(DecodeIndexMeta(v0).status().IsCorruption());
+  std::string v7 = buf;
+  v7[4] = 7;  // the version after the current one
+  EXPECT_TRUE(DecodeIndexMeta(v7).status().IsCorruption());
   std::string v127 = buf;
   v127[4] = 127;
   EXPECT_TRUE(DecodeIndexMeta(v127).status().IsCorruption());
@@ -483,21 +486,24 @@ TEST(IndexMetaCodecTest, StorageFieldsRoundTripAndRejectTruncation) {
 
 class BTreeAuditTest : public FaultInjectionTest {
  protected:
-  /// Builds a two-level tree (meta + inner root + several leaves) with
-  /// valid checksums throughout, and returns a node page of each kind.
+  /// Bulk-loads a two-level tree (meta + inner root + several packed
+  /// leaves) with valid checksums throughout. Every page past the meta is
+  /// reachable, so damage to any node is damage to the tree.
   void BuildTree(const std::string& path) {
     PageFile file;
     ASSERT_TRUE(file.Open(path, true).ok());
     BufferPool pool(&file, 64);
     auto tree = BTree::Create(&pool, /*key_size=*/8, /*value_size=*/8);
     ASSERT_TRUE(tree.ok());
-    char key[8], value[8] = {0};
+    std::vector<std::pair<std::string, std::string>> entries;
     for (uint32_t i = 0; i < 2000; ++i) {
+      char key[8];
       EncodeFixed32(key, 0);
       EncodeFixed32(key + 4, __builtin_bswap32(i));  // big-endian: memcmp order
-      ASSERT_TRUE(
-          tree->Insert({key, sizeof key}, {value, sizeof value}).ok());
+      entries.emplace_back(std::string(key, sizeof key),
+                           std::string(8, '\0'));
     }
+    ASSERT_TRUE(tree->BulkLoad(entries).ok());
     ASSERT_TRUE(tree->Flush().ok());
     ASSERT_EQ(tree->height(), 2u);
     ASSERT_TRUE(pool.FlushAll().ok());
@@ -612,30 +618,31 @@ TEST_F(BTreeAuditTest, DetectsCycle) {
   ExpectAuditViolation(path, "");  // cycle, depth, or type — any is a catch
 }
 
-TEST_F(BTreeAuditTest, DetectsBrokenSiblingChain) {
+TEST_F(BTreeAuditTest, DetectsKeysOutOfOrderAcrossLeaves) {
   const std::string path = dir_ + "/t.bt";
   BuildTree(path);
-  // Find a leaf that is not the last in the chain, so cutting its next
-  // pointer actually severs something.
+  // Find a leaf other than the first (whose first key is the all-zero key),
+  // so zeroing its first key puts it below the previous leaf's last key
+  // while leaving the leaf itself in order.
   PageId leaf = kInvalidPage;
   {
     PageFile file;
     ASSERT_TRUE(file.Open(path, false).ok());
     std::vector<char> buf(kPageSize);
+    const std::string zero_key(8, '\0');
     for (PageId id = 1; id < file.num_pages() && leaf == kInvalidPage;
          ++id) {
       ASSERT_TRUE(file.ReadPage(id, buf.data()).ok());
-      if (buf[0] == 0 && DecodeFixed32(buf.data() + 4) != kInvalidPage) {
+      if (buf[0] == 0 &&
+          std::memcmp(buf.data() + 8, zero_key.data(), 8) != 0) {
         leaf = id;
       }
     }
     ASSERT_TRUE(file.Close().ok());
   }
   ASSERT_NE(leaf, kInvalidPage);
-  // Truncate the chain: this leaf claims to be the last one.
-  EditPayload(path, leaf,
-              [](char* p) { EncodeFixed32(p + 4, kInvalidPage); });
-  ExpectAuditViolation(path, "chain");
+  EditPayload(path, leaf, [](char* p) { std::memset(p + 8, 0, 8); });
+  ExpectAuditViolation(path, "out of order across");
 }
 
 TEST_F(BTreeAuditTest, DetectsEntryCountMismatch) {

@@ -17,16 +17,30 @@
 #include "datagen/datasets.h"
 #include "datagen/query_gen.h"
 #include "query/xpath_parser.h"
+#include "xml/serializer.h"
 
 namespace fix {
 namespace {
 
+// Version stamped in an encoded meta's header, right after the magic.
+uint32_t MetaVersion(const std::string& meta) {
+  return DecodeFixed32(meta.data() + 4);
+}
+
+// Hand-encodes the v5 form of a meta: v5 is the v6 layout with the header
+// version set to 5.
+std::string AsV5Meta(const std::string& v6) {
+  std::string v5 = v6;
+  EXPECT_EQ(MetaVersion(v5), 6u);
+  EncodeFixed32(v5.data() + 4, 5);
+  return v5;
+}
+
 // Hand-encodes the v4 form of a meta: v4 is the v5 layout with the header
 // version set to 4 and a trailing probe-engine selector (0 = B+-tree,
 // 1 = kd-tree, 2 = auto).
-std::string AsV4Meta(const std::string& v5, uint32_t engine) {
-  std::string v4 = v5;
-  EXPECT_EQ(DecodeFixed32(v4.data() + 4), 5u);
+std::string AsV4Meta(const std::string& v6, uint32_t engine) {
+  std::string v4 = AsV5Meta(v6);
   EncodeFixed32(v4.data() + 4, 4);
   PutVarint32(&v4, engine);
   return v4;
@@ -127,25 +141,29 @@ TEST_F(PersistTest, IndexMetaV4EngineFieldIsValidatedAndDropped) {
   meta.indexed_docs = 9;
   meta.generation = 5;
   meta.wal_bytes = 64;
-  const std::string v5 = EncodeIndexMeta(meta);
+  const std::string v6 = EncodeIndexMeta(meta);
   for (uint32_t engine : {0u, 1u, 2u}) {
     SCOPED_TRACE(engine);
-    auto restored = DecodeIndexMeta(AsV4Meta(v5, engine));
+    auto restored = DecodeIndexMeta(AsV4Meta(v6, engine));
     ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_EQ(EncodeIndexMeta(*restored), v5);
+    EXPECT_EQ(EncodeIndexMeta(*restored), v6);
   }
+  // v5 has the v6 layout and decodes to the same meta.
+  auto from_v5 = DecodeIndexMeta(AsV5Meta(v6));
+  ASSERT_TRUE(from_v5.ok()) << from_v5.status();
+  EXPECT_EQ(EncodeIndexMeta(*from_v5), v6);
   // An engine value no v4 writer could emit is damage.
-  auto unknown = DecodeIndexMeta(AsV4Meta(v5, 3));
+  auto unknown = DecodeIndexMeta(AsV4Meta(v6, 3));
   ASSERT_FALSE(unknown.ok());
   EXPECT_TRUE(unknown.status().IsCorruption()) << unknown.status();
   // A v4 header without its selector is truncated.
-  std::string truncated = AsV4Meta(v5, 0);
+  std::string truncated = AsV4Meta(v6, 0);
   truncated.pop_back();
   auto short_meta = DecodeIndexMeta(truncated);
   ASSERT_FALSE(short_meta.ok());
   EXPECT_TRUE(short_meta.status().IsCorruption()) << short_meta.status();
-  // v5 carries no selector, so a trailing byte is damage too.
-  auto trailing = DecodeIndexMeta(v5 + '\0');
+  // v5 and v6 carry no selector, so a trailing byte is damage too.
+  auto trailing = DecodeIndexMeta(v6 + '\0');
   ASSERT_FALSE(trailing.ok());
   EXPECT_TRUE(trailing.status().IsCorruption()) << trailing.status();
 }
@@ -237,9 +255,12 @@ TEST_F(PersistTest, ReopenedClusteredIndexServesCopies) {
   EXPECT_GT(stats->sequential_bytes, 0u);
 }
 
-// Indexes persisted by meta v4 — whatever probe engine they selected —
-// reopen and answer byte-identically to a fresh v5 index. Opening also
-// unlinks the kd-tree file such indexes kept next to the B+-tree.
+// Indexes persisted by meta v4 — whatever probe engine they selected — and
+// by meta v5 reopen and answer byte-identically to a fresh v6 index.
+// Opening also unlinks the kd-tree file v4 indexes kept next to the
+// B+-tree. A v5 index (whose leaves may still carry the sibling chain that
+// is no longer read) then takes one insert exactly like a v6 twin of it,
+// and its meta is rewritten as v6.
 TEST_F(PersistTest, V4IndexOpensAndAnswersLikeV5) {
   Corpus corpus;
   DblpOptions gen;
@@ -266,12 +287,20 @@ TEST_F(PersistTest, V4IndexOpensAndAnswersLikeV5) {
     want_candidates[i] = stats->candidates;
   }
 
-  auto v5 = ReadFile(dir_ + "/v.fix.meta");
-  ASSERT_TRUE(v5.ok());
-  const std::string kd_tree_file = dir_ + "/v.fix" + kLegacyKdTreeSuffix;
+  auto v6 = ReadFile(dir_ + "/v.fix.meta");
+  ASSERT_TRUE(v6.ok());
+  ASSERT_EQ(MetaVersion(*v6), 6u);
+  // Older metas to reopen under: v4 with each engine, then v5 (last, so the
+  // insert below runs against a v5 index).
+  std::vector<std::string> old_metas;
   for (uint32_t engine : {0u, 1u, 2u}) {
-    SCOPED_TRACE(engine);
-    ASSERT_TRUE(WriteFile(dir_ + "/v.fix.meta", AsV4Meta(*v5, engine)).ok());
+    old_metas.push_back(AsV4Meta(*v6, engine));
+  }
+  old_metas.push_back(AsV5Meta(*v6));
+  const std::string kd_tree_file = dir_ + "/v.fix" + kLegacyKdTreeSuffix;
+  for (const std::string& old_meta : old_metas) {
+    SCOPED_TRACE(MetaVersion(old_meta));
+    ASSERT_TRUE(WriteFile(dir_ + "/v.fix.meta", old_meta).ok());
     ASSERT_TRUE(WriteFile(kd_tree_file, std::string(4096, 'k')).ok());
 
     auto corpus2 = Corpus::Load(dir_);
@@ -291,6 +320,53 @@ TEST_F(PersistTest, V4IndexOpensAndAnswersLikeV5) {
       EXPECT_EQ(stats->candidates, want_candidates[i]) << q.ToString();
     }
   }
+
+  // The v5 index and a v6 twin of it (same files, v6 meta) take the same
+  // insert and must answer identically afterwards.
+  const std::string twin = dir_ + "/twin.fix";
+  std::filesystem::copy_file(dir_ + "/v.fix", twin);
+  if (std::filesystem::exists(dir_ + "/v.fix.wal")) {
+    std::filesystem::copy_file(dir_ + "/v.fix.wal", twin + ".wal");
+  }
+  ASSERT_TRUE(WriteFile(twin + ".meta", *v6).ok());
+  const std::string xml = SerializeXml(corpus.doc(0), *corpus.labels());
+  auto corpus_v5 = Corpus::Load(dir_);
+  auto corpus_v6 = Corpus::Load(dir_);
+  ASSERT_TRUE(corpus_v5.ok());
+  ASSERT_TRUE(corpus_v6.ok());
+  auto doc_v5 = corpus_v5->AddXml(xml);
+  auto doc_v6 = corpus_v6->AddXml(xml);
+  ASSERT_TRUE(doc_v5.ok()) << doc_v5.status();
+  ASSERT_TRUE(doc_v6.ok()) << doc_v6.status();
+  ASSERT_EQ(*doc_v5, *doc_v6);
+  auto index_v5 = FixIndex::Open(&*corpus_v5, dir_ + "/v.fix");
+  auto index_v6 = FixIndex::Open(&*corpus_v6, twin);
+  ASSERT_TRUE(index_v5.ok()) << index_v5.status();
+  ASSERT_TRUE(index_v6.ok()) << index_v6.status();
+  ASSERT_TRUE(index_v5->InsertDocument(*doc_v5).ok());
+  ASSERT_TRUE(index_v6->InsertDocument(*doc_v6).ok());
+  EXPECT_EQ(index_v5->num_entries(), index_v6->num_entries());
+  EXPECT_GT(index_v5->num_entries(), built->num_entries());
+  auto rewritten = ReadFile(dir_ + "/v.fix.meta");
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(MetaVersion(*rewritten), 6u);
+
+  FixQueryProcessor processor_v5(&*corpus_v5, &*index_v5);
+  FixQueryProcessor processor_v6(&*corpus_v6, &*index_v6);
+  size_t grew = 0;
+  for (const TwigQuery& query : queries) {
+    TwigQuery q = query;
+    q.ResolveLabels(corpus_v5->labels());
+    std::vector<NodeRef> got_v5, got_v6;
+    auto stats_v5 = processor_v5.Execute(q, &got_v5);
+    auto stats_v6 = processor_v6.Execute(q, &got_v6);
+    ASSERT_TRUE(stats_v5.ok());
+    ASSERT_TRUE(stats_v6.ok());
+    EXPECT_EQ(got_v5, got_v6) << q.ToString();
+    EXPECT_EQ(stats_v5->candidates, stats_v6->candidates) << q.ToString();
+    for (const NodeRef& ref : got_v5) grew += ref.doc_id == *doc_v5;
+  }
+  EXPECT_GT(grew, 0u);  // the inserted copy of doc 0 is found
 }
 
 // An upgraded database directory sheds the kd-tree file on Database::Open

@@ -5,7 +5,8 @@
 // For each file, walks every page verifying the self-describing header
 // (magic, format version, embedded page id, CRC32C) and, unless
 // --no-structure is given, audits the B+-tree built on those pages
-// (node types, depths, fanout, key order, sibling chain, entry counts).
+// (node types, depths, fanout, key order within and across leaves, entry
+// counts).
 // With --wal, additionally verifies the write-ahead log sidecar
 // (`<file>.wal`): header magic/CRC, a full record walk, and torn-tail
 // detection. A missing log is fine (pre-WAL index); a torn or unparseable
