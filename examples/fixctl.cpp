@@ -409,9 +409,8 @@ int CmdWal(const std::string& dir) {
                 "%llu entries\n",
                 static_cast<unsigned long long>(c.generation), c.root,
                 c.height, static_cast<unsigned long long>(c.num_entries));
-    std::printf("                  indexed_docs %llu, next_seq %llu\n",
-                static_cast<unsigned long long>(c.indexed_docs),
-                static_cast<unsigned long long>(c.next_seq));
+    std::printf("                  indexed_docs %llu\n",
+                static_cast<unsigned long long>(c.indexed_docs));
   } else {
     std::printf("  last commit:    (none — log is empty or checkpointed)\n");
   }

@@ -166,6 +166,7 @@ Status Database::AttachOrQuarantine(const std::string& name) {
     }
     // idx is destroyed (closing its files) before the quarantine rename.
   }
+  if (failure.code() == StatusCode::kNotSupported) return UpgradeIndex(name);
   if (failure.IsCorruption() || failure.IsIOError() || failure.IsNotFound()) {
     {
       MutexLock lock(health_mu_);
@@ -176,6 +177,29 @@ Status Database::AttachOrQuarantine(const std::string& name) {
     return Status::OK();
   }
   return failure;  // unexpected (e.g. InvalidArgument): a bug, not damage
+}
+
+Status Database::UpgradeIndex(const std::string& name) {
+  // FixIndex::Open refused an index written before meta v7 (48-byte
+  // entries). That is an old format, not damage: rebuild it from the corpus
+  // with the options its own meta recorded — no quarantine, no corruption
+  // event.
+  Status upgraded = [&]() -> Status {
+    std::string buf;
+    FIX_ASSIGN_OR_RETURN(buf, ReadFile(IndexPath(name) + ".meta"));
+    IndexMeta meta;
+    FIX_ASSIGN_OR_RETURN(meta, DecodeIndexMeta(buf));
+    return RebuildIndex(name, meta.options).status();
+  }();
+  if (upgraded.ok()) return Status::OK();
+  // The old files stay exactly as they were, so the next Open retries the
+  // upgrade; until then queries naming the index fall back to full scan.
+  FIX_LOG(Error) << "index '" << name << "' upgrade failed: "
+                 << upgraded.ToString()
+                 << " — queries fall back to full scan until it succeeds";
+  WriterMutexLock lock(mu_);
+  degraded_.insert(name);
+  return Status::OK();
 }
 
 Result<FixIndex*> Database::BuildIndex(const std::string& name,
@@ -222,7 +246,9 @@ Result<FixIndex*> Database::AttachIndex(const std::string& name) {
 Result<FixIndex*> Database::RebuildIndex(const std::string& name,
                                          IndexOptions options,
                                          BuildStats* stats) {
-  static constexpr const char* kParts[] = {"", ".meta", ".data", ".wal"};
+  // The meta moves last: a crash part-way through the swap of an upgrade
+  // leaves the old-format meta, so the next Open upgrades again.
+  static constexpr const char* kParts[] = {"", ".data", ".wal", ".meta"};
   const std::string path = IndexPath(name);
   const std::string side = path + ".rebuild";
   // Build the replacement at a side path while the old index (if any) keeps

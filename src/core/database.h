@@ -75,6 +75,8 @@ class Database {
   /// ".quarantined" suffix and queries naming it transparently fall back to
   /// the always-correct full scan (ExecStats::degraded is set). Answers are
   /// never wrong, only slower, and RebuildIndex() restores indexed speed.
+  /// An index in a format older than meta v7 is not damage: it is upgraded
+  /// by RebuildIndex with the options its meta recorded (UpgradeIndex).
   ///
   /// Returns a pointer (not a value): FixIndex handles keep raw pointers to
   /// the owning corpus, so the Database must never move after indexes
@@ -150,7 +152,8 @@ class Database {
                                                BuildStats* stats = nullptr);
 
   /// True when queries naming `name` are being answered by full scan
-  /// because the index was quarantined as corrupt or stale.
+  /// because the index was quarantined as corrupt or stale, or its format
+  /// upgrade at Open failed.
   bool IsDegraded(const std::string& name) const FIX_EXCLUDES(mu_) {
     ReaderMutexLock lock(mu_);
     return degraded_.count(name) > 0;
@@ -231,6 +234,13 @@ class Database {
   /// quarantines it and records the degradation. Only unexpected statuses
   /// (e.g. InvalidArgument) propagate.
   [[nodiscard]] Status AttachOrQuarantine(const std::string& name);
+
+  /// Upgrades an index whose meta predates v7 by RebuildIndex with the
+  /// options read from that meta. If the rebuild fails the old files are
+  /// left in place (the next Open retries) and the name is marked degraded
+  /// without a quarantine.
+  [[nodiscard]] Status UpgradeIndex(const std::string& name)
+      FIX_EXCLUDES(mu_, health_mu_);
 
   /// Renames the index files aside (".quarantined" suffix), drops any
   /// attached handle, and marks the name degraded. Idempotent: a second

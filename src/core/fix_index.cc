@@ -45,12 +45,12 @@ EigPair OversizedPair() {
   return p;
 }
 
-FeatureKey MakeKey(LabelId label, const EigPair& eigs) {
+FeatureKey MakeKey(LabelId label, const EigPair& eigs, NodeRef ref = {}) {
   FeatureKey key;
   key.root_label = label;
   key.lambda_max = eigs.lambda_max;
-  key.lambda_min = eigs.lambda_min;
   key.lambda2 = eigs.lambda2;
+  key.ref = ref;
   return key;
 }
 
@@ -90,55 +90,6 @@ void RecordBuildStats(const BuildStats& stats) {
 
 }  // namespace
 
-Result<EigPair> FixIndex::GraphFeatures(const BisimGraph& graph,
-                                        BuildStats* stats) {
-  if (graph.num_vertices() > options_.max_pattern_vertices) {
-    if (stats != nullptr) ++stats->oversized_patterns;
-    return OversizedPair();
-  }
-  DenseMatrix m(0);
-  {
-    // Readers may be interning query-pattern pairs concurrently with the
-    // single writer (this path feeds InsertDocument, which no longer
-    // excludes reads); both sides serialize on the encoder mutex.
-    MutexLock lock(*encoder_mu_);
-    m = BuildSkewMatrix(graph, &encoder_);
-  }
-  auto sigmas = SkewSpectrum(m);
-  if (!sigmas.ok()) {
-    // Eigensolver failure (pathological spectrum): degrade to the
-    // artificial always-a-candidate range rather than failing the build —
-    // exactly the Section 6.1 treatment of oversized patterns, and equally
-    // sound.
-    if (stats != nullptr) ++stats->oversized_patterns;
-    return OversizedPair();
-  }
-  return EigPairFromSpectrum(*sigmas);
-}
-
-Result<EigPair> FixIndex::PatternFeatures(BisimGraph* graph,
-                                          BisimVertexId vertex,
-                                          int depth_limit, BuildStats* stats) {
-  BisimVertex& v = graph->vertex(vertex);
-  if (v.eigs.has_value()) return *v.eigs;
-  if (stats != nullptr) ++stats->distinct_patterns;
-
-  uint64_t expanded = ExpandedPatternSize(*graph, vertex, depth_limit,
-                                          options_.max_expanded_nodes);
-  EigPair eigs;
-  if (expanded >= options_.max_expanded_nodes) {
-    if (stats != nullptr) ++stats->oversized_patterns;
-    eigs = OversizedPair();
-  } else {
-    BisimGraph pattern;
-    FIX_ASSIGN_OR_RETURN(pattern,
-                         BuildDepthLimitedPattern(*graph, vertex, depth_limit));
-    FIX_ASSIGN_OR_RETURN(eigs, GraphFeatures(pattern, stats));
-  }
-  graph->vertex(vertex).eigs = eigs;
-  return eigs;
-}
-
 Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
                                  BuildStats* stats) {
   if (options.path.empty()) {
@@ -159,7 +110,7 @@ Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
                                              options.buffer_pool_pages);
   {
     auto tree = BTree::Create(index.pool_.get(), kFeatureKeySize,
-                              kIndexValueSize);
+                              IndexValueSize(options.clustered));
     if (!tree.ok()) return tree.status();
     index.btree_ = std::make_unique<BTree>(std::move(tree).value());
   }
@@ -176,14 +127,15 @@ Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
     // A fresh (empty) log rides along from the start so the first
     // incremental update has somewhere to commit.
     auto wal = Wal::Create(options.path + ".wal", kFeatureKeySize,
-                           kIndexValueSize, options.wal_io_factory);
+                           IndexValueSize(options.clustered),
+                           options.wal_io_factory);
     if (!wal.ok()) return wal.status();
     index.wal_ = std::move(wal).value();
   }
 
   // CONSTRUCT-INDEX over the collection: the batched fan-out / intern /
   // solve / emit pipeline, then a sorted bulk load (see DESIGN.md,
-  // "Construction pipeline").
+  // "Entry pipeline").
   FIX_RETURN_IF_ERROR(index.BuildPipeline(stats));
   FIX_RETURN_IF_ERROR(index.btree_->Flush());
   // The page file is deliberately not fsynced here: a bulk build is a
@@ -213,6 +165,15 @@ void FixIndex::PrepareDocument(uint32_t doc_id, DocWork* out) const {
     return;
   }
   out->depth = doc.Depth(root_elem);
+  // DEVIATION FROM ALGORITHM 1 (documented in DESIGN.md, finding F2): the
+  // paper indexes documents shallower than L as single whole-document
+  // units even inside a depth-limited index, which makes //-rooted queries
+  // unsound — whole-document entries carry the document root's label, so
+  // shallow documents become invisible to a probe keyed on the pattern
+  // root's label. A depth-limited index therefore enumerates one
+  // subpattern per element for EVERY document (patterns of documents
+  // shallower than L are simply never truncated), which is what
+  // Theorem 5's completeness argument actually needs.
   const int limit = options_.depth_limit;
 
   DocumentEventStream stream(&doc, doc_id, value_hasher_.get());
@@ -281,15 +242,22 @@ void FixIndex::SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
       return;
     }
   }
-  DenseMatrix m = BuildSkewMatrixFrozen(pattern, encoder_);
+  DenseMatrix m(0);
+  {
+    // Readers intern query pairs into encoder_ while an insert runs this
+    // stage; the eigensolve below stays outside the lock.
+    MutexLock lock(*encoder_mu_);
+    m = BuildSkewMatrixFrozen(pattern, encoder_);
+  }
   auto sigmas = SkewSpectrum(m);
   CachedFeature computed;
   if (sigmas.ok()) {
     computed.eigs = EigPairFromSpectrum(*sigmas);
   } else {
-    // Eigensolver failure: same Section 6.1 degradation as the legacy
-    // path. The failure bit rides along in the cache so replayed hits
-    // count toward oversized_patterns exactly like the first computation.
+    // Eigensolver failure: the Section 6.1 always-a-candidate range, as
+    // for oversized patterns. The failure bit rides along in the cache so
+    // replayed hits count toward oversized_patterns exactly like the first
+    // computation.
     computed.eigs = OversizedPair();
     computed.solver_failed = true;
   }
@@ -298,60 +266,53 @@ void FixIndex::SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
   if (cache != nullptr) cache->Insert(work->signature, computed);
 }
 
-Status FixIndex::BuildPipeline(BuildStats* stats) {
-  const uint32_t threads = ResolveBuildThreads(options_.build_threads);
-  if (stats != nullptr) stats->build_threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  FeatureCache cache(static_cast<size_t>(options_.feature_cache_mb) * 1024 *
-                     1024);
-  FeatureCache* cache_ptr =
-      options_.feature_cache_mb > 0 ? &cache : nullptr;
+Status FixIndex::IndexDocuments(uint32_t begin, uint32_t end,
+                                ThreadPool* pool, FeatureCache* cache,
+                                BuildStats* stats,
+                                std::vector<std::string>* keys) {
+  const size_t window =
+      pool != nullptr ? pool->num_threads() * 8 : static_cast<size_t>(1);
+  for (uint32_t first = begin; first < end;
+       first += static_cast<uint32_t>(window)) {
+    const uint32_t last = static_cast<uint32_t>(
+        std::min<uint64_t>(end, static_cast<uint64_t>(first) + window));
+    std::vector<DocWork> works(last - first);
 
-  // (encoded key, source node) runs accumulated across every window, sorted
-  // once at the end. Sorting before loading is what makes the result
-  // independent of build_threads.
-  std::vector<std::pair<std::string, NodeRef>> entries;
-
-  const uint32_t num_docs = corpus_->num_docs();
-  const size_t window = std::max<size_t>(1, static_cast<size_t>(threads) * 8);
-  for (uint32_t begin = 0; begin < num_docs;
-       begin += static_cast<uint32_t>(window)) {
-    const uint32_t end = static_cast<uint32_t>(
-        std::min<uint64_t>(num_docs, static_cast<uint64_t>(begin) + window));
-    std::vector<DocWork> works(end - begin);
-
-    // Phase A (parallel): parse, bisimulate, prepare distinct patterns.
+    // Stage A (parallel): parse, bisimulate, prepare distinct patterns.
     // Workers touch only read-only index state and their own DocWork.
-    ParallelFor(pool.get(), works.size(), [&](size_t i) {
-      PrepareDocument(begin + static_cast<uint32_t>(i), &works[i]);
+    ParallelFor(pool, works.size(), [&](size_t i) {
+      PrepareDocument(first + static_cast<uint32_t>(i), &works[i]);
     });
     for (const DocWork& w : works) FIX_RETURN_IF_ERROR(w.status);
 
-    // Phase B (sequential): intern edge weights in document/pattern order.
+    // Stage B (sequential): intern edge weights in document/pattern order.
     // The encoder must end up with exactly the single-threaded content —
     // weight ids feed the matrices and the persisted meta — so interning
-    // covers every non-oversized distinct pattern, cache hit or not.
-    for (DocWork& w : works) {
-      for (PatternWork& p : w.patterns) {
-        if (p.oversized) continue;
-        InternPatternWeights(
-            p.pattern.has_value() ? *p.pattern : w.graph, &encoder_);
+    // covers every non-oversized distinct pattern, cache hit or not. The
+    // order is the same whether the documents arrive in one Build or one
+    // InsertDocument at a time, which is what makes their entries equal.
+    {
+      MutexLock lock(*encoder_mu_);
+      for (DocWork& w : works) {
+        for (PatternWork& p : w.patterns) {
+          if (p.oversized) continue;
+          InternPatternWeights(
+              p.pattern.has_value() ? *p.pattern : w.graph, &encoder_);
+        }
       }
     }
 
-    // Phase C (parallel): feature-cache lookup or frozen eigensolve.
+    // Stage C (parallel): feature-cache lookup or frozen eigensolve.
     std::vector<std::pair<const BisimGraph*, PatternWork*>> flat;
     for (DocWork& w : works) {
       for (PatternWork& p : w.patterns) flat.emplace_back(&w.graph, &p);
     }
-    ParallelFor(pool.get(), flat.size(), [&](size_t i) {
-      SolvePattern(*flat[i].first, flat[i].second, cache_ptr);
+    ParallelFor(pool, flat.size(), [&](size_t i) {
+      SolvePattern(*flat[i].first, flat[i].second, cache);
     });
 
-    // Phase D (sequential): stats, per-vertex feature memo, and entry
-    // emission in close order (sequence numbers must match the legacy
-    // single-threaded assignment).
+    // Stage D (sequential): stats, per-vertex feature memo, and one key
+    // per closing element.
     for (DocWork& w : works) {
       if (w.empty) continue;
       if (stats != nullptr) {
@@ -369,33 +330,47 @@ Status FixIndex::BuildPipeline(BuildStats* stats) {
       }
       for (const CloseEvent& c : w.closes) {
         const BisimVertex& v = w.graph.vertex(c.vertex);
-        FeatureKey key = MakeKey(v.label, *v.eigs);
-        key.seq = next_seq_++;
-        entries.emplace_back(EncodeFeatureKey(key), c.ref);
+        keys->push_back(EncodeFeatureKey(MakeKey(v.label, *v.eigs, c.ref)));
       }
     }
   }
+  return Status::OK();
+}
 
-  // Merge: one global sort by encoded key (unique thanks to the seq
-  // suffix), then clustered copies in key order, then the packed load.
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+Status FixIndex::BuildPipeline(BuildStats* stats) {
+  const uint32_t threads = ResolveBuildThreads(options_.build_threads);
+  if (stats != nullptr) stats->build_threads_used = threads;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  FeatureCache cache(static_cast<size_t>(options_.feature_cache_mb) * 1024 *
+                     1024);
+  FeatureCache* cache_ptr =
+      options_.feature_cache_mb > 0 ? &cache : nullptr;
+
+  std::vector<std::string> keys;
+  FIX_RETURN_IF_ERROR(IndexDocuments(0, corpus_->num_docs(), pool.get(),
+                                     cache_ptr, stats, &keys));
+
+  // Merge: one global sort of the (unique) encoded keys — which makes the
+  // result independent of build_threads — then clustered copies in key
+  // order, then the packed load.
+  std::sort(keys.begin(), keys.end());
   std::vector<std::pair<std::string, std::string>> kv;
-  kv.reserve(entries.size());
-  if (options_.clustered) {
-    for (auto& [key, ref] : entries) {
+  kv.reserve(keys.size());
+  for (std::string& key : keys) {
+    uint64_t offset = 0;
+    if (options_.clustered) {
+      const NodeRef ref = DecodeFeatureKey(key).ref;
       std::string buf;
       EncodeDocument(corpus_->doc(ref.doc_id), &buf, ref.node_id);
       RecordId rid;
       FIX_ASSIGN_OR_RETURN(rid, clustered_.Append(buf));
-      kv.emplace_back(std::move(key), EncodeIndexValue({ref, rid.offset}));
+      offset = rid.offset;
     }
-    FIX_RETURN_IF_ERROR(clustered_.Sync());
-  } else {
-    for (auto& [key, ref] : entries) {
-      kv.emplace_back(std::move(key), EncodeIndexValue({ref, 0}));
-    }
+    kv.emplace_back(std::move(key),
+                    EncodeIndexValue(options_.clustered, offset));
   }
+  if (options_.clustered) FIX_RETURN_IF_ERROR(clustered_.Sync());
   FIX_RETURN_IF_ERROR(btree_->BulkLoad(kv));
 
   if (stats != nullptr && cache_ptr != nullptr) {
@@ -407,61 +382,8 @@ Status FixIndex::BuildPipeline(BuildStats* stats) {
   return Status::OK();
 }
 
-Status FixIndex::CollectEntries(
-    uint32_t doc_id, BuildStats* stats,
-    std::vector<std::pair<std::string, std::string>>* kv) {
-  const Document& doc = corpus_->doc(doc_id);
-  NodeId root_elem = doc.root_element();
-  if (root_elem == kInvalidNode) return Status::OK();
-  if (stats != nullptr) {
-    stats->max_document_depth =
-        std::max(stats->max_document_depth, doc.Depth(root_elem));
-  }
-  // DEVIATION FROM ALGORITHM 1 (documented in DESIGN.md, finding F2): the
-  // paper indexes documents shallower than L as single whole-document
-  // units even inside a depth-limited index, which makes //-rooted queries
-  // unsound — whole-document entries carry the document root's label, so
-  // shallow documents become invisible to a probe keyed on the pattern
-  // root's label. A depth-limited index therefore enumerates one
-  // subpattern per element for EVERY document (patterns of documents
-  // shallower than L are simply never truncated), which is what
-  // Theorem 5's completeness argument actually needs.
-  int limit = options_.depth_limit;
-
-  DocumentEventStream stream(&doc, doc_id, value_hasher_.get());
-  BisimBuilder builder;
-  auto emit = [&](const FeatureKey& key, NodeRef ref) {
-    FeatureKey numbered = key;
-    numbered.seq = next_seq_++;
-    kv->emplace_back(EncodeFeatureKey(numbered), EncodeIndexValue({ref, 0}));
-  };
-  BisimBuilder::CloseCallback on_close =
-      [&](BisimGraph* graph, BisimVertexId vertex, NodeRef ref,
-          bool is_root) -> Status {
-    if (limit == 0) {
-      if (!is_root) return Status::OK();
-      EigPair eigs;
-      FIX_ASSIGN_OR_RETURN(eigs, GraphFeatures(*graph, stats));
-      if (stats != nullptr) ++stats->distinct_patterns;
-      emit(MakeKey(graph->vertex(vertex).label, eigs), ref);
-      return Status::OK();
-    }
-    EigPair eigs;
-    FIX_ASSIGN_OR_RETURN(eigs, PatternFeatures(graph, vertex, limit, stats));
-    emit(MakeKey(graph->vertex(vertex).label, eigs), ref);
-    return Status::OK();
-  };
-  BisimGraph graph;
-  FIX_ASSIGN_OR_RETURN(graph, builder.Build(&stream, on_close));
-  if (stats != nullptr) {
-    stats->bisim_vertices += graph.num_vertices();
-    stats->bisim_edges += graph.num_edges();
-  }
-  return Status::OK();
-}
-
 Status FixIndex::CommitBatch(
-    const std::vector<std::pair<std::string, std::string>>& inserts,
+    const std::vector<std::string>& inserts,
     const std::vector<std::pair<std::string, std::string>>& deletes,
     uint32_t new_indexed_docs) {
   if (wal_.failed()) {
@@ -477,8 +399,8 @@ Status FixIndex::CommitBatch(
   // Everything up to the WAL fsync can fail without consequence: the batch
   // is invisible to readers and AbortBatch reclaims its pages.
   Status staged = [&]() -> Status {
-    for (const auto& [key, value] : inserts) {
-      FIX_RETURN_IF_ERROR(btree_->Insert(key, value));
+    for (const std::string& key : inserts) {
+      FIX_RETURN_IF_ERROR(btree_->Insert(key, std::string_view()));
     }
     for (const auto& [key, value] : deletes) {
       FIX_RETURN_IF_ERROR(btree_->Delete(key, value));
@@ -486,7 +408,6 @@ Status FixIndex::CommitBatch(
     WalCommit commit;
     FIX_ASSIGN_OR_RETURN(commit, btree_->PrepareCommit());
     commit.indexed_docs = new_indexed_docs;
-    commit.next_seq = next_seq_;
     // The point of no return. Once this fsync succeeds the generation is
     // durable; until then it does not exist. A failure here (including a
     // failed fsync — never ack an unsynced commit) fail-stops the log and
@@ -525,29 +446,19 @@ Status FixIndex::InsertDocument(uint32_t doc_id, BuildStats* stats) {
     return Status::InvalidArgument("doc_id not in corpus");
   }
   histogram_.reset();  // estimates must see the new entries
-  const uint32_t saved_seq = next_seq_;
-  const uint64_t saved_gen = btree_->generation();
-  std::vector<std::pair<std::string, std::string>> kv;
-  Status status = CollectEntries(doc_id, stats, &kv);
-  if (status.ok()) {
-    // Coverage extends atomically with the entries: the WAL commit carries
-    // the new count, so recovery can never adopt the entries without it
-    // (or vice versa).
-    uint32_t new_docs = indexed_docs_;
-    if (new_docs != kIndexedDocsUnknown) {
-      new_docs = std::max(new_docs, doc_id + 1);
-    }
-    status = CommitBatch(kv, {}, new_docs);
+  // The same pipeline Build runs, over this one document, inline: no pool,
+  // so a write spawns no threads, and no feature cache.
+  std::vector<std::string> keys;
+  FIX_RETURN_IF_ERROR(
+      IndexDocuments(doc_id, doc_id + 1, nullptr, nullptr, stats, &keys));
+  // Coverage extends atomically with the entries: the WAL commit carries
+  // the new count, so recovery can never adopt the entries without it (or
+  // vice versa).
+  uint32_t new_docs = indexed_docs_;
+  if (new_docs != kIndexedDocsUnknown) {
+    new_docs = std::max(new_docs, doc_id + 1);
   }
-  if (!status.ok()) {
-    // Roll the sequence allocator back only if the batch really aborted. A
-    // failure after the WAL commit (e.g. the post-commit checkpoint) leaves
-    // the generation published with these numbers spent — reusing them
-    // would mint duplicates against the durable commit record.
-    if (btree_->generation() == saved_gen) next_seq_ = saved_seq;
-    return status;
-  }
-  return Status::OK();
+  return CommitBatch(keys, {}, new_docs);
 }
 
 Status FixIndex::RemoveDocument(uint32_t doc_id) {
@@ -559,8 +470,7 @@ Status FixIndex::RemoveDocument(uint32_t doc_id) {
     BTree::Iterator it;
     FIX_ASSIGN_OR_RETURN(it, btree_->SeekFirst());
     while (it.Valid()) {
-      IndexValue value = DecodeIndexValue(it.value());
-      if (value.ref.doc_id == doc_id) {
+      if (DecodeFeatureKey(it.key()).ref.doc_id == doc_id) {
         victims.emplace_back(std::string(it.key()), std::string(it.value()));
       }
       FIX_RETURN_IF_ERROR(it.Next());
@@ -626,7 +536,6 @@ Status FixIndex::WriteMeta() const {
   IndexMeta meta;
   meta.options = options_;
   meta.options.path.clear();  // path is where the caller found the file
-  meta.next_seq = next_seq_;
   {
     // Readers may be interning query pairs concurrently with the writer's
     // sidecar rewrite; the export must see a consistent table.
@@ -652,12 +561,20 @@ Result<FixIndex> FixIndex::Open(
   FIX_ASSIGN_OR_RETURN(meta_buf, ReadFile(path + ".meta"));
   IndexMeta meta;
   FIX_ASSIGN_OR_RETURN(meta, DecodeIndexMeta(meta_buf));
+  if (meta.version < kIndexMetaVersion) {
+    // Entries written before meta v7 carry the 32-byte key with λ_min and
+    // a sequence number, and a 16-byte value. Refuse before touching the
+    // log or any page; Database::Open upgrades such an index by rebuilding
+    // it from the corpus.
+    return Status::NotSupported("index meta v" + std::to_string(meta.version) +
+                                " predates the 28-byte entry key; rebuild " +
+                                path);
+  }
   meta.options.path = path;
   meta.options.page_io_factory = page_io_factory;
   meta.options.wal_io_factory = wal_io_factory;
 
   FixIndex index(corpus, meta.options);
-  index.next_seq_ = meta.next_seq;
   index.indexed_docs_ = meta.indexed_docs;
   index.encoder_.Import(meta.edge_weights);
   index.file_ = page_io_factory != nullptr
@@ -670,7 +587,8 @@ Result<FixIndex> FixIndex::Open(
     // The log is scanned before the tree so a torn data-file meta page can
     // be rolled forward from it. A missing log (an index persisted before
     // the WAL existed) is recreated empty.
-    auto wal = Wal::Open(path + ".wal", kFeatureKeySize, kIndexValueSize,
+    auto wal = Wal::Open(path + ".wal", kFeatureKeySize,
+                         IndexValueSize(meta.options.clustered),
                          wal_io_factory);
     if (!wal.ok()) return wal.status();
     index.wal_ = std::move(wal).value();
@@ -698,8 +616,7 @@ Result<FixIndex> FixIndex::Open(
     }
     if (ws.last_commit.generation >= index.btree_->generation()) {
       // The log's commit is the latest durable state; its application
-      // fields supersede a sidecar the crash may have left stale.
-      index.next_seq_ = static_cast<uint32_t>(ws.last_commit.next_seq);
+      // field supersedes a sidecar the crash may have left stale.
       index.indexed_docs_ =
           static_cast<uint32_t>(ws.last_commit.indexed_docs);
     }
@@ -786,8 +703,6 @@ Result<FeatureKey> FixIndex::QueryFeatures(const TwigQuery& subtwig) {
   FeatureKey key;
   key.root_label = pattern.vertex(pattern.root()).label;
   key.lambda_max = max_w;
-  key.lambda_min = -max_w;
-  key.lambda2 = 0;
   return key;
 }
 
@@ -824,9 +739,7 @@ Result<FixIndex::LookupResult> FixIndex::ProbeBTree(const FeatureKey& probe,
     FeatureKey seek_key;
     seek_key.root_label = probe.root_label;
     seek_key.lambda_max = probe.lambda_max - eps;
-    seek_key.lambda_min = -std::numeric_limits<double>::infinity();
     seek_key.lambda2 = -std::numeric_limits<double>::infinity();
-    seek_key.seq = 0;
     FIX_ASSIGN_OR_RETURN(it, btree_->Seek(EncodeFeatureKey(seek_key)));
   } else {
     // Label pruning unsound for this probe (descendant-rooted query against
@@ -840,9 +753,6 @@ Result<FixIndex::LookupResult> FixIndex::ProbeBTree(const FeatureKey& probe,
   char lmax_lo[8];
   EncodeBigEndian64(lmax_lo,
                     OrderPreservingDouble(probe.lambda_max - eps));
-  char lmin_hi[8];
-  EncodeBigEndian64(lmin_hi,
-                    OrderPreservingDouble(probe.lambda_min + eps));
   char l2_lo[8];
   EncodeBigEndian64(l2_lo, OrderPreservingDouble(probe.lambda2 - eps));
   const bool filter_l2 = options_.use_lambda2 && !options_.sound_probe;
@@ -853,15 +763,15 @@ Result<FixIndex::LookupResult> FixIndex::ProbeBTree(const FeatureKey& probe,
       break;
     }
     ++out.entries_scanned;
-    bool pass = std::memcmp(key.data() + 4, lmax_lo, 8) >= 0 &&
-                std::memcmp(key.data() + 12, lmin_hi, 8) <= 0;
+    // λ_min = −λ_max for every key and probe (feature.h), so the paper's
+    // λ_min bound is this λ_max bound and is not tested separately.
+    bool pass = std::memcmp(key.data() + 4, lmax_lo, 8) >= 0;
     if (pass && filter_l2) {
-      pass = std::memcmp(key.data() + 20, l2_lo, 8) >= 0;
+      pass = std::memcmp(key.data() + 12, l2_lo, 8) >= 0;
     }
     if (pass) {
-      IndexValue v = DecodeIndexValue(it.value());
       out.candidates.push_back(
-          Candidate{DecodeFeatureKey(key), v.ref, v.clustered_offset});
+          Candidate{DecodeFeatureKey(key), DecodeIndexValue(it.value())});
     }
     FIX_RETURN_IF_ERROR(it.Next());
   }
@@ -875,7 +785,6 @@ Result<FixIndex::LookupResult> FixIndex::LabelOnlyScan(LabelId label) {
   FeatureKey seek_key;
   seek_key.root_label = label;
   seek_key.lambda_max = -std::numeric_limits<double>::infinity();
-  seek_key.lambda_min = -std::numeric_limits<double>::infinity();
   seek_key.lambda2 = -std::numeric_limits<double>::infinity();
   BTree::Iterator it;
   FIX_ASSIGN_OR_RETURN(it, btree_->Seek(EncodeFeatureKey(seek_key)));
@@ -885,9 +794,8 @@ Result<FixIndex::LookupResult> FixIndex::LabelOnlyScan(LabelId label) {
     std::string_view key = it.key();
     if (std::memcmp(key.data(), label_bytes, 4) != 0) break;
     ++out.entries_scanned;
-    IndexValue v = DecodeIndexValue(it.value());
     out.candidates.push_back(
-        Candidate{DecodeFeatureKey(key), v.ref, v.clustered_offset});
+        Candidate{DecodeFeatureKey(key), DecodeIndexValue(it.value())});
     FIX_RETURN_IF_ERROR(it.Next());
   }
   return out;
@@ -950,7 +858,7 @@ Result<FixIndex::LookupResult> FixIndex::Lookup(const TwigQuery& query) {
     merged.entries_scanned += part.entries_scanned;
     std::set<uint32_t> docs;
     for (const Candidate& c : part.candidates) {
-      docs.insert(c.ref.doc_id);
+      docs.insert(c.key.ref.doc_id);
     }
     if (i == 0) {
       first_candidates = std::move(part.candidates);
@@ -963,7 +871,7 @@ Result<FixIndex::LookupResult> FixIndex::Lookup(const TwigQuery& query) {
     }
   }
   for (Candidate& c : first_candidates) {
-    if (surviving.count(c.ref.doc_id) > 0) merged.candidates.push_back(c);
+    if (surviving.count(c.key.ref.doc_id) > 0) merged.candidates.push_back(c);
   }
   return merged;
 }

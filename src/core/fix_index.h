@@ -5,8 +5,13 @@
 // or the depth-L subpattern of each element of a large document) is reduced
 // to its bisimulation graph, translated to an anti-symmetric matrix, and
 // its eigenvalue features {root label, λ_max, λ_min} become the B+-tree
-// key. Unclustered entries store a pointer into primary storage; clustered
-// entries store subtree copies laid out in key order.
+// key — stored as (label, λ_max, λ₂, doc, node), 28 bytes, since λ_min is
+// always −λ_max (feature.h). Unclustered entries have no value: the key
+// names the element in primary storage. Clustered entries store the offset
+// of a subtree copy, and the copies are laid out in key order. Build and
+// InsertDocument turn documents into entries through one pipeline
+// (IndexDocuments), so an inserted document gets exactly the entries a
+// bulk build over the same corpus gives it.
 //
 // Lookup (Algorithm 2): the query's twig pattern gets the same treatment;
 // every indexed entry whose root label matches and whose eigenvalue range
@@ -26,6 +31,7 @@
 #include "common/thread_annotations.h"
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/corpus.h"
 #include "core/feature.h"
 #include "core/histogram.h"
@@ -67,10 +73,10 @@ namespace fix {
 /// trace spans ("index.build", "index.probe") when tracing is enabled.
 class FixIndex {
  public:
-  /// One index hit awaiting refinement.
+  /// One index hit awaiting refinement. key.ref names the element in
+  /// primary storage.
   struct Candidate {
     FeatureKey key;
-    NodeRef ref;                ///< unclustered: pointer into primary storage
     uint64_t clustered_offset;  ///< clustered: record id in the copy store
   };
 
@@ -108,17 +114,23 @@ class FixIndex {
   ///
   /// Crash recovery happens here: the WAL at path + ".wal" is scanned, a
   /// committed generation newer than the data file's meta page is rolled
-  /// forward (adopting the committed root, entry count, document coverage,
-  /// and sequence counter), torn tails are discarded, pages unreachable
+  /// forward (adopting the committed root, entry count and document
+  /// coverage), torn tails are discarded, pages unreachable
   /// from the adopted root are recycled (restamped as blank pages if the
   /// crash left them torn), and the log is reset once the recovered state
   /// has been checkpointed into the data file and sidecar. A kd-tree file
   /// left by an index written before meta v5 (kLegacyKdTreeSuffix) is
   /// unlinked.
   ///
+  /// An index whose meta predates v7 holds 48-byte entries this binary
+  /// does not read; Open refuses it with NotSupported before it reads the
+  /// log or any page. Database::Open answers that by rebuilding the index
+  /// with the options the old meta recorded.
+  ///
   /// @pre `corpus` is non-null and is the corpus the index was built over.
-  /// @return the reopened index, or NotFound (missing file), Corruption
-  ///         (checksum or meta damage), or IOError on failure.
+  /// @return the reopened index, or NotSupported (pre-v7 meta), NotFound
+  ///         (missing file), Corruption (checksum or meta damage), or
+  ///         IOError on failure.
   [[nodiscard]] static Result<FixIndex> Open(
       Corpus* corpus, const std::string& path,
       const std::function<std::unique_ptr<PageIo>()>& page_io_factory =
@@ -173,7 +185,9 @@ class FixIndex {
   /// Incrementally indexes a document that was appended to the corpus
   /// after Build (unclustered indexes only: clustered layouts require the
   /// key-ordered copy store to be rebuilt, the update cost the paper's
-  /// introduction charges against clustering indexes).
+  /// introduction charges against clustering indexes). The entries come
+  /// from Build's own pipeline, run inline over this one document, so they
+  /// are byte-identical to the ones a bulk build would have written.
   ///
   /// Crash-safe and atomic: the new entries are built copy-on-write as
   /// B+-tree generation N+1, made durable by a single fsync'd WAL commit
@@ -235,7 +249,7 @@ class FixIndex {
   FixIndex(Corpus* corpus, IndexOptions options)
       : corpus_(corpus), options_(std::move(options)) {}
 
-  // --- construction pipeline (Build only; see DESIGN.md) -------------------
+  // --- entry pipeline (Build and InsertDocument; see DESIGN.md) -----------
 
   /// One closing element awaiting entry emission (pipeline stage D).
   struct CloseEvent {
@@ -267,9 +281,20 @@ class FixIndex {
     Status status;       ///< deferred error from the parallel stage
   };
 
-  /// Runs the batched fan-out/intern/solve/emit pipeline over the whole
-  /// corpus and bulk-loads the B+-tree (and, for clustered indexes, the
-  /// copy store) from the sorted result.
+  /// The one way documents become index entries: runs the pipeline stages
+  /// A–D (prepare, intern, solve, emit) over documents [begin, end) in
+  /// windows, appending one encoded key per indexed element to `keys`.
+  /// `pool` (parallel stages A and C) and `cache` may be null. Stage B and
+  /// stage C's matrix build hold encoder_mu_, because readers intern query
+  /// pairs while an insert runs.
+  [[nodiscard]] Status IndexDocuments(uint32_t begin, uint32_t end,
+                                      ThreadPool* pool, FeatureCache* cache,
+                                      BuildStats* stats,
+                                      std::vector<std::string>* keys);
+
+  /// Build's half: IndexDocuments over the whole corpus with a pool and a
+  /// feature cache, then one sort and a bulk load of the B+-tree (and, for
+  /// clustered indexes, the copy store).
   [[nodiscard]] Status BuildPipeline(BuildStats* stats);
 
   /// Pipeline stage A, parallel per document: parse, bisimulate, collect
@@ -279,40 +304,26 @@ class FixIndex {
   void PrepareDocument(uint32_t doc_id, DocWork* out) const;
 
   /// Pipeline stage C, parallel per pattern: feature-cache lookup, or a
-  /// skew-matrix eigensolve against the frozen edge encoder on a miss.
-  /// Touches only read-only index state, `work`, and the sharded cache.
+  /// skew-matrix eigensolve against the frozen edge encoder on a miss (the
+  /// matrix is built under encoder_mu_). Touches only read-only index
+  /// state, `work`, and the sharded cache.
   void SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
                     FeatureCache* cache) const;
 
-  /// Writes the metadata sidecar (options + encoder + seq counter).
+  /// Writes the metadata sidecar (options + encoder + coverage).
   [[nodiscard]] Status WriteMeta() const;
 
   /// All entries carrying `label` (the wildcard degradation path).
   [[nodiscard]] Result<LookupResult> LabelOnlyScan(LabelId label);
 
-  /// Computes (memoized on the vertex) the features of the depth-limited
-  /// subpattern rooted at `vertex` of `graph`.
-  [[nodiscard]] Result<EigPair> PatternFeatures(BisimGraph* graph, BisimVertexId vertex,
-                                  int depth_limit, BuildStats* stats);
-
-  /// Features of a whole (already depth-bounded) pattern graph.
-  [[nodiscard]] Result<EigPair> GraphFeatures(const BisimGraph& graph, BuildStats* stats);
-
-  /// Runs Algorithm 1's per-document pass (bisimulation build + feature
-  /// solve) for one document, appending the encoded (key, value) entries —
-  /// with sequence numbers assigned — to `kv`. Nothing touches the tree;
-  /// the caller feeds the batch to CommitBatch.
-  [[nodiscard]] Status CollectEntries(
-      uint32_t doc_id, BuildStats* stats,
-      std::vector<std::pair<std::string, std::string>>* kv);
-
   /// The single write path: applies `inserts` then `deletes` inside one COW
   /// batch and drives the commit protocol — PrepareCommit (flush + data
   /// fsync), WAL append (fsync'd; failure aborts the batch), publish,
   /// checkpoint, meta rewrite, WAL reset. On success indexed_docs_ is
-  /// `new_indexed_docs`.
+  /// `new_indexed_docs`. Inserted keys carry no value: only unclustered
+  /// indexes take inserts.
   [[nodiscard]] Status CommitBatch(
-      const std::vector<std::pair<std::string, std::string>>& inserts,
+      const std::vector<std::string>& inserts,
       const std::vector<std::pair<std::string, std::string>>& deletes,
       uint32_t new_indexed_docs);
 
@@ -336,16 +347,16 @@ class FixIndex {
   Wal wal_;
   RecordStore clustered_;
   std::unique_ptr<ValueHasher> value_hasher_;
-  // `encoder_` is deliberately NOT FIX_GUARDED_BY(*encoder_mu_): Build and
-  // InsertDocument touch it lock-free under the writer-exclusive contract;
-  // only concurrent query-time interning (QueryFeatures) must serialize.
+  // `encoder_` is deliberately NOT FIX_GUARDED_BY(*encoder_mu_): Open
+  // imports it before the index is shared. Every access once readers may
+  // exist — query-time interning, IndexDocuments' stages B and C, and
+  // WriteMeta's export — holds the mutex.
   EdgeEncoder encoder_;
-  /// Serializes query-time interning into encoder_ (see the class comment).
+  /// Serializes access to encoder_ (see the class comment).
   /// Heap-allocated because FixIndex keeps its defaulted move operations.
   // LOCK-ORDER: 8 FixIndex::encoder_mu_
   std::unique_ptr<Mutex> encoder_mu_ = std::make_unique<Mutex>();
   std::unique_ptr<FeatureHistogram> histogram_;  // lazy; see EstimateCandidates
-  uint32_t next_seq_ = 0;
   uint32_t indexed_docs_ = 0;  // see indexed_docs()
 };
 

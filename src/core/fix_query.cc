@@ -151,7 +151,7 @@ void FixQueryProcessor::RefineDocGroup(
     const TwigQuery& query, const std::vector<FixIndex::Candidate>& sorted,
     size_t begin, size_t end, bool rooted, GroupOutcome* out) {
   const IndexOptions& options = index_->options();
-  const uint32_t doc_id = sorted[begin].ref.doc_id;
+  const uint32_t doc_id = sorted[begin].key.ref.doc_id;
   const Document& doc = corpus_->doc(doc_id);
   const bool doc_unit = options.depth_limit == 0;
   TwigMatcher matcher(&doc);
@@ -181,7 +181,7 @@ void FixQueryProcessor::RefineDocGroup(
       if (doc_unit) {
         bindings = copy_matcher.Evaluate(query);
       } else {
-        if (rooted && doc.parent(c.ref.node_id) != 0) {
+        if (rooted && doc.parent(c.key.ref.node_id) != 0) {
           // /-rooted query: the candidate must be the document's root
           // element (checked against primary metadata, not the copy).
           continue;
@@ -205,8 +205,8 @@ void FixQueryProcessor::RefineDocGroup(
     if (doc_unit) {
       bindings = matcher.Evaluate(query);
     } else {
-      if (rooted && doc.parent(c.ref.node_id) != 0) continue;
-      bindings = matcher.EvaluateAt(c.ref.node_id, query);
+      if (rooted && doc.parent(c.key.ref.node_id) != 0) continue;
+      bindings = matcher.EvaluateAt(c.key.ref.node_id, query);
     }
     out->nodes_visited += matcher.nodes_visited() - visited_before;
     if (!bindings.empty()) ++out->producing;
@@ -229,14 +229,14 @@ Status FixQueryProcessor::RefineCandidates(
   std::vector<FixIndex::Candidate> sorted = candidates;
   std::sort(sorted.begin(), sorted.end(),
             [](const FixIndex::Candidate& a, const FixIndex::Candidate& b) {
-              return a.ref.doc_id < b.ref.doc_id;
+              return a.key.ref.doc_id < b.key.ref.doc_id;
             });
 
   std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per doc
   for (size_t i = 0; i < sorted.size();) {
     size_t j = i + 1;
     while (j < sorted.size() &&
-           sorted[j].ref.doc_id == sorted[i].ref.doc_id) {
+           sorted[j].key.ref.doc_id == sorted[i].key.ref.doc_id) {
       ++j;
     }
     groups.emplace_back(i, j);

@@ -11,13 +11,8 @@ constexpr uint32_t kLabelMagic = 0x4649584c;  // "FIXL"
 constexpr uint32_t kManifestMagic = 0x4649584d;  // "FIXM"
 constexpr uint32_t kMetaMagic = 0x46495849;  // "FIXI"
 constexpr uint32_t kVersion = 1;
-// Index-meta format: v2 appends storage_format + indexed_docs, v3 appends
-// generation + wal_bytes, v4 appends a probe-engine selector, and v5 drops
-// it again (see IndexMeta). v6 has the v5 layout; it marks B+-tree leaves
-// written without a sibling chain, which a binary that still follows the
-// chain must refuse. Older sidecars remain readable; fields they predate
-// decode to their "unknown" defaults.
-constexpr uint32_t kMetaVersion = 6;
+// Index-meta format history: see IndexMeta (persist.h). Older sidecars
+// remain readable; fields they predate decode to their "unknown" defaults.
 // Largest probe-engine value a v4 meta could carry (B+-tree, kd-tree, auto).
 constexpr uint32_t kMaxV4EngineSelector = 2;
 
@@ -152,7 +147,7 @@ Result<std::vector<RecordId>> DecodeManifest(const std::string& buf) {
 
 std::string EncodeIndexMeta(const IndexMeta& meta) {
   std::string out;
-  PutHeader(&out, kMetaMagic, kMetaVersion);
+  PutHeader(&out, kMetaMagic, kIndexMetaVersion);
   const IndexOptions& o = meta.options;
   PutVarint32(&out, static_cast<uint32_t>(o.depth_limit));
   PutVarint32(&out, o.clustered ? 1 : 0);
@@ -162,7 +157,6 @@ std::string EncodeIndexMeta(const IndexMeta& meta) {
   PutFixed64(&out, OrderPreservingDouble(o.epsilon));
   PutVarint64(&out, o.max_pattern_vertices);
   PutVarint64(&out, o.max_expanded_nodes);
-  PutVarint32(&out, meta.next_seq);
   PutVarint32(&out, static_cast<uint32_t>(meta.edge_weights.size()));
   for (const auto& [pair, weight] : meta.edge_weights) {
     PutVarint64(&out, pair);
@@ -181,8 +175,10 @@ Result<IndexMeta> DecodeIndexMeta(const std::string& buf) {
   size_t pos = 0;
   uint32_t version = 0;
   FIX_RETURN_IF_ERROR(
-      CheckHeader(buf, &pos, kMetaMagic, "index meta", kMetaVersion, &version));
+      CheckHeader(buf, &pos, kMetaMagic, "index meta", kIndexMetaVersion,
+                  &version));
   IndexMeta meta;
+  meta.version = version;
   uint32_t depth = 0, clustered = 0, beta = 0, l2 = 0, sound = 0;
   if (!GetVarint32(buf, &pos, &depth) || !GetVarint32(buf, &pos, &clustered) ||
       !GetVarint32(buf, &pos, &beta) || !GetVarint32(buf, &pos, &l2) ||
@@ -201,15 +197,16 @@ Result<IndexMeta> DecodeIndexMeta(const std::string& buf) {
       OrderPreservingToDouble(DecodeFixed64(buf.data() + pos));
   pos += 8;
   uint64_t max_vertices = 0, max_expanded = 0;
-  uint32_t next_seq = 0, pairs = 0;
+  // v1–v6 wrote a key-sequence counter here; it is read and dropped.
+  uint32_t seq_counter = 0, pairs = 0;
   if (!GetVarint64(buf, &pos, &max_vertices) ||
       !GetVarint64(buf, &pos, &max_expanded) ||
-      !GetVarint32(buf, &pos, &next_seq) || !GetVarint32(buf, &pos, &pairs)) {
+      (version < 7 && !GetVarint32(buf, &pos, &seq_counter)) ||
+      !GetVarint32(buf, &pos, &pairs)) {
     return Status::Corruption("index meta: truncated counters");
   }
   meta.options.max_pattern_vertices = max_vertices;
   meta.options.max_expanded_nodes = max_expanded;
-  meta.next_seq = next_seq;
   meta.edge_weights.reserve(pairs);
   for (uint32_t i = 0; i < pairs; ++i) {
     uint64_t pair = 0;

@@ -1,7 +1,7 @@
 // Persistence for the pieces an index needs beyond its B+-tree pages:
 // the shared label table, the corpus manifest (document record offsets in
 // primary storage), and the index metadata sidecar (options, edge-weight
-// encoding, sequence counter).
+// encoding, document coverage).
 //
 // Formats are little binary files with a magic + version header and varint
 // payloads; every reader validates and returns Corruption on mismatch.
@@ -45,13 +45,23 @@ std::string EncodeManifest(const std::vector<RecordId>& records);
 /// unlinks it.
 inline constexpr char kLegacyKdTreeSuffix[] = ".spatial";
 
+/// The index-meta format this binary writes. v7 goes with the 28-byte
+/// entry key (core/feature.h); FixIndex::Open refuses older metas, and
+/// Database::Open upgrades them by rebuilding the index.
+inline constexpr uint32_t kIndexMetaVersion = 7;
+
 /// indexed_docs value meaning "written by a pre-v2 meta, count unknown":
 /// consistency checks against the corpus are skipped for such indexes.
 inline constexpr uint32_t kIndexedDocsUnknown = UINT32_MAX;
 
+/// Format history: v2 appends storage_format + indexed_docs, v3 appends
+/// generation + wal_bytes, v4 a probe-engine selector (see the end of the
+/// struct).
 struct IndexMeta {
+  /// Format version the sidecar was read from (kIndexMetaVersion when
+  /// freshly made); not itself a payload field.
+  uint32_t version = kIndexMetaVersion;
   IndexOptions options;  ///< path field is not persisted (caller supplies)
-  uint32_t next_seq = 0;
   std::vector<std::pair<uint64_t, uint32_t>> edge_weights;
   /// Page-file format the index was written with (kPageFormatVersion);
   /// 0 for metas predating the checksummed page format.
@@ -70,8 +80,9 @@ struct IndexMeta {
   uint64_t wal_bytes = 0;
   // v4 appended a probe-engine selector; v5 no longer writes it, and the
   // decoder validates and drops it from v4 metas. v6 keeps the v5 fields
-  // and marks an index whose B+-tree leaves carry no sibling chain; v5
-  // decodes the same way (its chain is simply not read).
+  // and marks an index whose B+-tree leaves carry no sibling chain. v7
+  // drops the key-sequence counter that v1–v6 wrote after the options; the
+  // decoder reads and discards it from older metas.
 };
 
 std::string EncodeIndexMeta(const IndexMeta& meta);

@@ -226,6 +226,23 @@ Status ShardedDatabase::WriteManifest(const ShardLayout& layout) const {
   return Status::OK();
 }
 
+Status ShardedDatabase::RewriteManifest() {
+  ShardLayout layout;
+  {
+    ReaderMutexLock lock(shards_mu_);
+    layout.shard_count = static_cast<uint32_t>(shards_.size());
+    layout.generation = generation_;
+    for (const auto& shard : shards_) {
+      layout.shard_dirs.push_back(shard->dir.substr(workdir_.size() + 1));
+    }
+  }
+  {
+    MutexLock master(master_mu_);
+    layout.total_docs = total_docs_;
+  }
+  return WriteManifest(layout);
+}
+
 Status ShardedDatabase::PersistMasterLabels() {
   std::string encoded;
   {
@@ -614,23 +631,7 @@ Result<uint32_t> ShardedDatabase::InsertXml(const std::string& index_name,
     FIX_RETURN_IF_ERROR(target->db->Save());
   }
   FIX_RETURN_IF_ERROR(PersistMasterLabels());
-  {
-    ShardLayout layout;
-    {
-      ReaderMutexLock lock(shards_mu_);
-      layout.shard_count = static_cast<uint32_t>(shards_.size());
-      layout.generation = generation_;
-      for (const auto& shard : shards_) {
-        layout.shard_dirs.push_back(
-            shard->dir.substr(workdir_.size() + 1));
-      }
-    }
-    {
-      MutexLock master(master_mu_);
-      layout.total_docs = total_docs_;
-    }
-    FIX_RETURN_IF_ERROR(WriteManifest(layout));
-  }
+  FIX_RETURN_IF_ERROR(RewriteManifest());
   // Index commit last, outside every gate: the shard's COW write path
   // serves its pinned readers throughout. A quarantined shard skips the
   // commit — its full-scan fallback already covers the new document. An
@@ -702,22 +703,7 @@ Result<std::vector<uint32_t>> ShardedDatabase::InsertMany(
   });
   for (const Status& st : statuses) FIX_RETURN_IF_ERROR(st);
   FIX_RETURN_IF_ERROR(PersistMasterLabels());
-  {
-    ShardLayout layout;
-    {
-      ReaderMutexLock lock(shards_mu_);
-      layout.shard_count = n;
-      layout.generation = generation_;
-      for (const auto& shard : shards_) {
-        layout.shard_dirs.push_back(shard->dir.substr(workdir_.size() + 1));
-      }
-    }
-    {
-      MutexLock master(master_mu_);
-      layout.total_docs = total_docs_;
-    }
-    FIX_RETURN_IF_ERROR(WriteManifest(layout));
-  }
+  FIX_RETURN_IF_ERROR(RewriteManifest());
   ShardInserts().Add(xmls.size());
   return gids;
 }

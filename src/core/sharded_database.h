@@ -248,6 +248,11 @@ class ShardedDatabase {
   /// temp-file + rename (readers of the file never see a torn manifest).
   [[nodiscard]] Status WriteManifest(const ShardLayout& layout) const;
 
+  /// Snapshots the current layout (shards, generation, document count) and
+  /// writes it with WriteManifest. Inserts call it after growing a shard.
+  [[nodiscard]] Status RewriteManifest()
+      FIX_EXCLUDES(shards_mu_, master_mu_);
+
   /// Persists the master label table (encode under master_mu_, write
   /// outside). Mutators call it after growing the table.
   [[nodiscard]] Status PersistMasterLabels() FIX_EXCLUDES(master_mu_);

@@ -735,7 +735,10 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
       std::memmove(slot + LeafEntrySize(), slot,
                    (count - pos) * LeafEntrySize());
       std::memcpy(slot, key.data(), key_size_);
-      std::memcpy(slot + key_size_, value.data(), value_size_);
+      // An empty value may come with a null data() (value_size 0 trees).
+      if (value_size_ > 0) {
+        std::memcpy(slot + key_size_, value.data(), value_size_);
+      }
       SetNodeCount(page, count + 1);
       leaf.MarkDirty();
       DcheckNodeInvariants(page);
@@ -771,7 +774,9 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
         SetNodeCount(rpage, c + 1);
       }
       std::memcpy(target, key.data(), key_size_);
-      std::memcpy(target + key_size_, value.data(), value_size_);
+      if (value_size_ > 0) {
+        std::memcpy(target + key_size_, value.data(), value_size_);
+      }
       leaf.MarkDirty();
       right.MarkDirty();
       DcheckNodeInvariants(page);
@@ -870,8 +875,8 @@ Status BTree::Delete(std::string_view key, std::string_view value) {
       if (CompareKey(LeafEntry(page, i), key) > 0) {
         return Status::NotFound("entry not in B+-tree");
       }
-      if (std::memcmp(LeafEntry(page, i) + key_size_, value.data(),
-                      value_size_) != 0) {
+      if (value_size_ > 0 && std::memcmp(LeafEntry(page, i) + key_size_,
+                                         value.data(), value_size_) != 0) {
         continue;
       }
       FIX_RETURN_IF_ERROR(CowPath(&path, &leaf));

@@ -12,7 +12,7 @@ namespace fix {
 namespace {
 
 constexpr uint8_t kCommit = 1;
-constexpr size_t kCommitPayloadSize = 1 + 8 + 4 + 4 + 8 + 8 + 8;
+constexpr size_t kCommitPayloadSize = 1 + 8 + 4 + 4 + 8 + 8;
 constexpr size_t kRecordFrameSize = 8;  // len(4) + crc(4)
 
 // Process-wide WAL health counters (see docs/OBSERVABILITY.md).
@@ -58,7 +58,6 @@ void EncodeCommitPayload(const WalCommit& commit, char* buf) {
   EncodeFixed32(buf + 13, commit.height);
   EncodeFixed64(buf + 17, commit.num_entries);
   EncodeFixed64(buf + 25, commit.indexed_docs);
-  EncodeFixed64(buf + 33, commit.next_seq);
 }
 
 }  // namespace
@@ -126,7 +125,6 @@ Result<WalScanResult> Wal::ScanIo(PageIo* io) {
       scan.last_commit.height = DecodeFixed32(payload.data() + 13);
       scan.last_commit.num_entries = DecodeFixed64(payload.data() + 17);
       scan.last_commit.indexed_docs = DecodeFixed64(payload.data() + 25);
-      scan.last_commit.next_seq = DecodeFixed64(payload.data() + 33);
     }
     ++scan.records;
     pos += kRecordFrameSize + len;

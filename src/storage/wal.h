@@ -12,7 +12,8 @@
 //     offset  size  field
 //     ------  ----  ---------------------------------------------------
 //          0     4  magic "FXWL" (little-endian 0x4c575846)
-//          4     4  format version (currently 1)
+//          4     4  format version (currently 2; v1 logs carried a
+//                    41-byte commit payload and are refused)
 //          8     4  B+-tree key size   } geometry duplicated here so a
 //         12     4  B+-tree value size } torn data-file meta page does
 //                                        not strand recovery
@@ -26,14 +27,14 @@
 //   after it are discarded by recovery (the bytes before it are intact by
 //   induction — records are appended and fsync'd in order).
 //
-//   commit payload (kCommit): type(1) | generation(8) | root(4) |
-//   height(4) | num_entries(8) | indexed_docs(8) | next_seq(8), all
-//   little-endian. One commit record is appended (and fsync'd) per durable
-//   B+-tree generation; replay adopts the last valid commit whose
-//   generation exceeds the data file's meta page. The trailing two fields
-//   are opaque application state (FixIndex's document count and sequence
-//   allocator) carried so a crash between the WAL commit and the sidecar
-//   meta rewrite still recovers a self-consistent index.
+//   commit payload (kCommit, 33 bytes): type(1) | generation(8) | root(4) |
+//   height(4) | num_entries(8) | indexed_docs(8), all little-endian. One
+//   commit record is appended (and fsync'd) per durable B+-tree
+//   generation; replay adopts the last valid commit whose generation
+//   exceeds the data file's meta page. The trailing field is opaque
+//   application state (FixIndex's document coverage) carried so a crash
+//   between the WAL commit and the sidecar meta rewrite still recovers a
+//   self-consistent index.
 //
 // Durability contract (fail-stop): AppendCommit returns OK only after the
 // record has been written AND fsync'd. If the fsync fails the Wal enters a
@@ -59,7 +60,7 @@ namespace fix {
 
 /// "FXWL" little-endian — stamped at offset 0 of the log header.
 inline constexpr uint32_t kWalMagic = 0x4c575846;
-inline constexpr uint32_t kWalFormatVersion = 1;
+inline constexpr uint32_t kWalFormatVersion = 2;
 inline constexpr uint64_t kWalHeaderSize = 32;
 
 /// One durable B+-tree generation: everything recovery needs to re-point
@@ -69,10 +70,9 @@ struct WalCommit {
   uint32_t root = 0;
   uint32_t height = 0;
   uint64_t num_entries = 0;
-  // Opaque application state (the B+-tree neither reads nor writes these;
-  // FixIndex stamps them before AppendCommit and restores them on replay).
+  // Opaque application state (the B+-tree neither reads nor writes it;
+  // FixIndex stamps it before AppendCommit and restores it on replay).
   uint64_t indexed_docs = 0;
-  uint64_t next_seq = 0;
 };
 
 /// Result of scanning a log: how much of it is intact and what the last

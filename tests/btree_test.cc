@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -627,6 +628,193 @@ TEST_F(BTreeBatchTest, RetiredPagesAreRecycledAcrossCommits) {
   // 160 8+8-byte entries fit in a page or two; without recycling each
   // commit would leak its COW'd path (≥ height pages per commit).
   EXPECT_LT(file_.num_pages(), before + kCommits / 2);
+}
+
+// --- empty values ------------------------------------------------------------
+//
+// Unclustered FIX indexes store 28-byte keys and no value at all. The tree
+// must treat value_size 0 as a first-class geometry on every path: COW
+// batches, cross-leaf seeks and iteration, bulk load, structural audit, and
+// recovery from a WAL-carried commit.
+
+constexpr uint32_t kWideKey = 28;
+
+// A 28-byte memcmp-ordered key: `v` big-endian in the last 8 bytes.
+std::string WideKey(uint64_t v) {
+  std::string out(kWideKey, '\x5a');
+  for (int i = 0; i < 8; ++i) {
+    out[kWideKey - 8 + i] = static_cast<char>(v >> (56 - 8 * i));
+  }
+  return out;
+}
+
+class BTreeEmptyValueTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/fix_btree_empty_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+    ASSERT_TRUE(file_.Open(dir_ + "/tree", true).ok());
+    pool_ = std::make_unique<BufferPool>(&file_, 64);
+    auto tree = BTree::Create(pool_.get(), kWideKey, /*value_size=*/0);
+    ASSERT_TRUE(tree.ok()) << tree.status();
+    tree_ = std::make_unique<BTree>(std::move(tree).value());
+  }
+  void TearDown() override {
+    tree_.reset();
+    pool_.reset();
+    (void)file_.Close();
+    std::filesystem::remove_all(dir_);
+  }
+
+  /// Keys in tree order, checking every value is empty on the way.
+  std::vector<std::string> ScanKeys() {
+    std::vector<std::string> keys;
+    auto it = tree_->SeekFirst();
+    EXPECT_TRUE(it.ok());
+    if (!it.ok()) return keys;
+    while (it->Valid()) {
+      EXPECT_TRUE(it->value().empty());
+      keys.emplace_back(it->key());
+      EXPECT_TRUE(it->Next().ok());
+    }
+    return keys;
+  }
+
+  std::string dir_;
+  PageFile file_;
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<BTree> tree_;
+};
+
+TEST_F(BTreeEmptyValueTest, CowBatchInsertAndDelete) {
+  constexpr uint64_t kN = 3000;  // ~20 leaves of 146 entries
+  ASSERT_TRUE(tree_->BeginBatch().ok());
+  for (uint64_t i = 0; i < kN; ++i) {
+    // Interleaved order, so inserts land all over the tree.
+    ASSERT_TRUE(tree_->Insert(WideKey((i * 7919) % kN), std::string_view())
+                    .ok());
+  }
+  ASSERT_TRUE(tree_->PrepareCommit().ok());
+  tree_->FinalizeCommit();
+  EXPECT_EQ(tree_->num_entries(), kN);
+  EXPECT_GE(tree_->height(), 2u);
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
+
+  // A default string_view (null data) is an empty value too.
+  ASSERT_TRUE(tree_->BeginBatch().ok());
+  for (uint64_t i = 0; i < kN; i += 3) {
+    ASSERT_TRUE(tree_->Delete(WideKey(i), std::string_view()).ok()) << i;
+  }
+  EXPECT_TRUE(tree_->Delete(WideKey(kN + 1), "").IsNotFound());
+  ASSERT_TRUE(tree_->PrepareCommit().ok());
+  tree_->FinalizeCommit();
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
+
+  std::vector<std::string> want;
+  for (uint64_t i = 0; i < kN; ++i) {
+    if (i % 3 != 0) want.push_back(WideKey(i));
+  }
+  EXPECT_EQ(tree_->num_entries(), want.size());
+  EXPECT_EQ(ScanKeys(), want);
+  auto got = tree_->Get(WideKey(4));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->empty());
+  EXPECT_TRUE(tree_->Get(WideKey(3)).status().IsNotFound());
+  // A non-empty value is a size mismatch.
+  ASSERT_TRUE(tree_->BeginBatch().ok());
+  EXPECT_TRUE(tree_->Insert(WideKey(kN), "x").IsInvalidArgument());
+  tree_->AbortBatch();
+}
+
+TEST_F(BTreeEmptyValueTest, SeekAndIterateAcrossLeaves) {
+  constexpr uint64_t kN = 2000;
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (uint64_t i = 0; i < kN; ++i) entries.emplace_back(WideKey(2 * i), "");
+  ASSERT_TRUE(tree_->BulkLoad(entries).ok());
+  for (uint64_t probe : {0ull, 1ull, 291ull, 292ull, 1999ull, 3998ull}) {
+    SCOPED_TRACE(probe);
+    auto it = tree_->Seek(WideKey(probe));
+    ASSERT_TRUE(it.ok());
+    uint64_t next = (probe + 1) / 2;  // first even key >= probe, halved
+    while (it->Valid()) {
+      EXPECT_EQ(std::string(it->key()), WideKey(2 * next));
+      EXPECT_TRUE(it->value().empty());
+      ++next;
+      ASSERT_TRUE(it->Next().ok());
+    }
+    EXPECT_EQ(next, kN);
+  }
+  auto past = tree_->Seek(WideKey(2 * kN));
+  ASSERT_TRUE(past.ok());
+  EXPECT_FALSE(past->Valid());
+}
+
+TEST_F(BTreeEmptyValueTest, BulkLoadAndVerifyStructure) {
+  constexpr uint64_t kN = 25000;  // three levels of packed 28-byte keys
+  std::vector<std::pair<std::string, std::string>> entries;
+  std::vector<std::string> want;
+  for (uint64_t i = 0; i < kN; ++i) {
+    entries.emplace_back(WideKey(i), "");
+    want.push_back(WideKey(i));
+  }
+  ASSERT_TRUE(tree_->BulkLoad(entries).ok());
+  EXPECT_EQ(tree_->num_entries(), kN);
+  EXPECT_EQ(tree_->height(), 3u);
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
+  EXPECT_EQ(ScanKeys(), want);
+  // A packed leaf holds (page - 8) / 28 entries: value bytes cost nothing.
+  const uint64_t leaves = (kN + (kPageSize - 8) / kWideKey - 1) /
+                          ((kPageSize - 8) / kWideKey);
+  EXPECT_LT(file_.num_pages(), leaves + leaves / 10 + 3);
+  // A value of the wrong size is rejected up front.
+  std::vector<std::pair<std::string, std::string>> bad = {{WideKey(0), "v"}};
+  auto fresh_file = std::make_unique<PageFile>();
+  ASSERT_TRUE(fresh_file->Open(dir_ + "/bad", true).ok());
+  BufferPool bad_pool(fresh_file.get(), 8);
+  auto bad_tree = BTree::Create(&bad_pool, kWideKey, 0);
+  ASSERT_TRUE(bad_tree.ok());
+  EXPECT_TRUE(bad_tree->BulkLoad(bad).IsInvalidArgument());
+}
+
+TEST_F(BTreeEmptyValueTest, ReopenRecoveredFromWalCommit) {
+  auto wal = Wal::Create(dir_ + "/tree.wal", kWideKey, 0, nullptr);
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_TRUE(tree_->BeginBatch().ok());
+  for (uint64_t i = 0; i < 800; ++i) {
+    ASSERT_TRUE(tree_->Insert(WideKey(i), "").ok());
+  }
+  auto commit = tree_->PrepareCommit();
+  ASSERT_TRUE(commit.ok()) << commit.status();
+  commit->indexed_docs = 7;
+  ASSERT_TRUE(wal->AppendCommit(*commit).ok());
+  tree_->FinalizeCommit();
+  // Crash before the checkpoint: the meta page still names the empty tree.
+  tree_.reset();
+  pool_.reset();
+  ASSERT_TRUE(file_.Close().ok());
+  ASSERT_TRUE(wal->Close().ok());
+
+  auto reopened_wal = Wal::Open(dir_ + "/tree.wal", kWideKey, 0, nullptr);
+  ASSERT_TRUE(reopened_wal.ok()) << reopened_wal.status();
+  const WalScanResult& ws = reopened_wal->state();
+  ASSERT_TRUE(ws.has_commit);
+  EXPECT_EQ(ws.key_size, kWideKey);
+  EXPECT_EQ(ws.value_size, 0u);
+  EXPECT_EQ(ws.last_commit.indexed_docs, 7u);
+  ASSERT_TRUE(file_.Open(dir_ + "/tree", false).ok());
+  pool_ = std::make_unique<BufferPool>(&file_, 64);
+  auto recovered =
+      BTree::OpenRecovered(pool_.get(), ws.key_size, ws.value_size,
+                           ws.last_commit);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  tree_ = std::make_unique<BTree>(std::move(recovered).value());
+  EXPECT_EQ(tree_->value_size(), 0u);
+  EXPECT_EQ(tree_->num_entries(), 800u);
+  ASSERT_TRUE(tree_->VerifyStructure().ok());
+  std::vector<std::string> want;
+  for (uint64_t i = 0; i < 800; ++i) want.push_back(WideKey(i));
+  EXPECT_EQ(ScanKeys(), want);
 }
 
 }  // namespace

@@ -474,9 +474,10 @@ TEST(IndexMetaCodecTest, StorageFieldsRoundTripAndRejectTruncation) {
   std::string v0 = buf;
   v0[4] = 0;  // varint version right after the 4-byte magic
   EXPECT_TRUE(DecodeIndexMeta(v0).status().IsCorruption());
-  std::string v7 = buf;
-  v7[4] = 7;  // the version after the current one
-  EXPECT_TRUE(DecodeIndexMeta(v7).status().IsCorruption());
+  EXPECT_EQ(static_cast<uint32_t>(buf[4]), kIndexMetaVersion);
+  std::string v8 = buf;
+  v8[4] = 8;  // the version after the current one
+  EXPECT_TRUE(DecodeIndexMeta(v8).status().IsCorruption());
   std::string v127 = buf;
   v127[4] = 127;
   EXPECT_TRUE(DecodeIndexMeta(v127).status().IsCorruption());
@@ -808,6 +809,24 @@ class RecoveryTest : public ::testing::Test {
     return options;
   }
 
+  /// Like CrashyOptions, but every page file the database opens (old index
+  /// attach, side build, reopen) gets its own injector with the same
+  /// budget; collecting them in `*all` lets a test sum the whole write
+  /// schedule and later detect which one crashed.
+  static Database::OpenOptions MultiCrashyOptions(
+      uint64_t budget,
+      std::vector<std::shared_ptr<FaultInjectionPageIo>>* all) {
+    Database::OpenOptions options;
+    options.page_io_factory = [budget, all]() {
+      auto io = std::make_shared<FaultInjectionPageIo>(
+          std::make_unique<FilePageIo>());
+      io->CrashAfterWrites(budget);
+      all->push_back(io);
+      return std::unique_ptr<PageIo>(new SharedPageIo(io));
+    };
+    return options;
+  }
+
   /// Like CrashyOptions, but arms the write-ahead-log backend instead of
   /// the page files: the data file stays healthy and only the log crashes.
   static Database::OpenOptions WalCrashyOptions(
@@ -974,8 +993,10 @@ TEST_F(RecoveryTest, RebuildIndexRestoresService) {
 TEST_F(RecoveryTest, CrashRecoveryMatrix) {
   const std::string corpus_template = dir_ + "/tmpl_corpus";
   const std::string full_template = dir_ + "/tmpl_full";
-  MakeDatabase(corpus_template, /*num_docs=*/24, /*build_index=*/false);
-  MakeDatabase(full_template, /*num_docs=*/24, /*build_index=*/true);
+  // 48 documents: with 28-byte entries a 24-document build writes too few
+  // pages to spread 20 distinct crash points over.
+  MakeDatabase(corpus_template, /*num_docs=*/48, /*build_index=*/false);
+  MakeDatabase(full_template, /*num_docs=*/48, /*build_index=*/true);
 
   // Measure the write counts of a clean build and a clean update so the
   // crash points can be spread across the whole write schedule.
@@ -1252,23 +1273,7 @@ TEST_F(RecoveryTest, RebuildCrashKeepsOldIndexServing) {
   const auto baseline = QueryAnswers(tmpl);
   ASSERT_EQ(baseline.size(), 3u);
 
-  // Every rebuild page file (old index attach, side build, reopen) gets its
-  // own injector with the same budget; collecting them lets the test sum
-  // the whole write schedule and later detect which one crashed.
-  auto multi_options =
-      [](uint64_t budget,
-         std::vector<std::shared_ptr<FaultInjectionPageIo>>* all) {
-        Database::OpenOptions options;
-        options.page_io_factory = [budget, all]() {
-          auto io = std::make_shared<FaultInjectionPageIo>(
-              std::make_unique<FilePageIo>());
-          io->CrashAfterWrites(budget);
-          all->push_back(io);
-          return std::unique_ptr<PageIo>(new SharedPageIo(io));
-        };
-        return options;
-      };
-
+  auto multi_options = MultiCrashyOptions;
   uint64_t rebuild_writes = 0;
   {
     const std::string wd = dir_ + "/measure";
@@ -1326,6 +1331,109 @@ TEST_F(RecoveryTest, RebuildCrashKeepsOldIndexServing) {
     CheckRecoveredDatabase(wd);
   }
   EXPECT_GE(crashed_runs, 2);
+}
+
+// An index written before meta v7 (48-byte entries) is upgraded by a
+// rebuild inside Database::Open. A crash at any write of that rebuild
+// leaves the old files in place — the index answers by full scan, with no
+// quarantine and no corruption event — and the next clean open upgrades
+// it: answers correct, not degraded, meta v7.
+TEST_F(RecoveryTest, RebuildUpgradesPreV7Index) {
+  const std::string tmpl = dir_ + "/tmpl";
+  MakeDatabase(tmpl, /*num_docs=*/24, /*build_index=*/true);
+  const auto baseline = QueryAnswers(tmpl);
+  ASSERT_EQ(baseline.size(), 3u);
+  {
+    // Age the index to v6: the v7 meta with the header version set to 6
+    // and the key-sequence counter v1–v6 wrote after the options, and a
+    // format-1 log.
+    auto v7 = ReadFile(tmpl + "/main.fix.meta");
+    ASSERT_TRUE(v7.ok());
+    ASSERT_EQ(DecodeFixed32(v7->data() + 4), 7u);
+    size_t pos = 8;
+    uint32_t field32 = 0;
+    uint64_t field64 = 0;
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(GetVarint32(*v7, &pos, &field32));
+    pos += 8;  // epsilon
+    ASSERT_TRUE(GetVarint64(*v7, &pos, &field64));
+    ASSERT_TRUE(GetVarint64(*v7, &pos, &field64));
+    std::string v6 = v7->substr(0, pos);
+    PutVarint32(&v6, 4321);
+    v6 += v7->substr(pos);
+    EncodeFixed32(v6.data() + 4, 6);
+    ASSERT_TRUE(WriteFile(tmpl + "/main.fix.meta", v6).ok());
+    std::string wal(kWalHeaderSize, '\0');
+    EncodeFixed32(wal.data(), kWalMagic);
+    EncodeFixed32(wal.data() + 4, 1);
+    EncodeFixed32(wal.data() + 8, 32);
+    EncodeFixed32(wal.data() + 12, 16);
+    EncodeFixed32(wal.data() + 28, Crc32c(wal.data(), 28));
+    ASSERT_TRUE(WriteFile(tmpl + "/main.fix.wal", wal).ok());
+  }
+  auto meta_version = [](const std::string& workdir) {
+    auto meta = ReadFile(workdir + "/main.fix.meta");
+    EXPECT_TRUE(meta.ok());
+    return meta.ok() ? DecodeFixed32(meta->data() + 4) : 0u;
+  };
+
+  uint64_t upgrade_writes = 0;
+  {
+    const std::string wd = dir_ + "/measure";
+    std::filesystem::copy(tmpl, wd, std::filesystem::copy_options::recursive);
+    std::vector<std::shared_ptr<FaultInjectionPageIo>> ios;
+    auto db = Database::Open(wd, MultiCrashyOptions(UINT64_MAX / 2, &ios));
+    ASSERT_TRUE(db.ok());
+    ASSERT_FALSE((*db)->IsDegraded("main"));
+    EXPECT_EQ((*db)->health().rebuilds, 1u);
+    for (const auto& io : ios) upgrade_writes += io->writes();
+  }
+  ASSERT_GE(upgrade_writes, 2u);
+
+  int crashed_runs = 0;
+  for (uint64_t k = 0; k <= upgrade_writes; ++k) {
+    SCOPED_TRACE("upgrade crash after " + std::to_string(k) + " writes");
+    const std::string wd = dir_ + "/upgrade_k" + std::to_string(k);
+    std::filesystem::copy(tmpl, wd, std::filesystem::copy_options::recursive);
+    bool crashed = false;
+    {
+      std::vector<std::shared_ptr<FaultInjectionPageIo>> ios;
+      auto db = Database::Open(wd, MultiCrashyOptions(k, &ios));
+      ASSERT_TRUE(db.ok()) << db.status();
+      crashed = (*db)->health().rebuilds == 0;
+      crashed_runs += crashed;
+      // A failed upgrade is not damage: nothing is renamed aside, and the
+      // index serves by full scan until an open upgrades it.
+      EXPECT_EQ((*db)->IsDegraded("main"), crashed);
+      EXPECT_EQ((*db)->health().corruption_events, 0u);
+      EXPECT_EQ((*db)->health().quarantined_indexes, 0u);
+      for (size_t i = 0; i < 3; ++i) {
+        std::vector<NodeRef> got;
+        auto stats = (*db)->Query("main", kQueries[i], &got);
+        ASSERT_TRUE(stats.ok()) << kQueries[i] << ": " << stats.status();
+        EXPECT_EQ(stats->degraded, crashed);
+        EXPECT_EQ(Sorted(got), baseline[i]) << kQueries[i];
+      }
+    }
+    EXPECT_EQ(meta_version(wd), crashed ? 6u : kIndexMetaVersion);
+    EXPECT_FALSE(std::filesystem::exists(wd + "/main.fix.rebuild"));
+    {
+      auto db = Database::Open(wd);
+      ASSERT_TRUE(db.ok()) << db.status();
+      EXPECT_FALSE((*db)->IsDegraded("main"));
+      EXPECT_EQ((*db)->health().rebuilds, crashed ? 1u : 0u);
+      EXPECT_EQ((*db)->health().corruption_events, 0u);
+      for (size_t i = 0; i < 3; ++i) {
+        std::vector<NodeRef> got;
+        auto stats = (*db)->Query("main", kQueries[i], &got);
+        ASSERT_TRUE(stats.ok()) << kQueries[i] << ": " << stats.status();
+        EXPECT_FALSE(stats->degraded);
+        EXPECT_EQ(Sorted(got), baseline[i]) << kQueries[i];
+      }
+    }
+    EXPECT_EQ(meta_version(wd), kIndexMetaVersion);
+    CheckRecoveredDatabase(wd);
+  }
+  EXPECT_EQ(crashed_runs, static_cast<int>(upgrade_writes));
 }
 
 // An fsync failure on the log is fail-stop: the insert reports failure (an

@@ -17,6 +17,9 @@
 #include "datagen/query_gen.h"
 #include "query/compile.h"
 #include "query/xpath_parser.h"
+#include "spectral/edge_encoder.h"
+#include "spectral/skew_matrix.h"
+#include "spectral/spectrum.h"
 
 namespace fix {
 namespace {
@@ -81,7 +84,7 @@ TEST_F(FixIndexTest, RootedLookupPrunesByLabelAndSpectrum) {
   // Doc 2 pruned by root label. Doc 1 pruned by eigenvalues (its pattern
   // a->b has a smaller spectral radius than the query pattern a->{b,c}).
   std::set<uint32_t> docs;
-  for (const auto& c : lookup->candidates) docs.insert(c.ref.doc_id);
+  for (const auto& c : lookup->candidates) docs.insert(c.key.ref.doc_id);
   EXPECT_TRUE(docs.count(0));
   EXPECT_FALSE(docs.count(2));
   EXPECT_FALSE(docs.count(1));
@@ -98,7 +101,7 @@ TEST_F(FixIndexTest, DescendantRootedLookupScansAllLabels) {
   auto lookup = index->Lookup(Query("//a/b"));
   ASSERT_TRUE(lookup.ok());
   std::set<uint32_t> docs;
-  for (const auto& c : lookup->candidates) docs.insert(c.ref.doc_id);
+  for (const auto& c : lookup->candidates) docs.insert(c.key.ref.doc_id);
   EXPECT_TRUE(docs.count(0));
   EXPECT_TRUE(docs.count(1));
 }
@@ -126,7 +129,7 @@ TEST_F(FixIndexTest, DepthLimitedEnumeratesShallowDocsToo) {
   auto lookup = index->Lookup(Query("//b"));
   ASSERT_TRUE(lookup.ok());
   std::set<uint32_t> docs;
-  for (const auto& c : lookup->candidates) docs.insert(c.ref.doc_id);
+  for (const auto& c : lookup->candidates) docs.insert(c.key.ref.doc_id);
   EXPECT_TRUE(docs.count(0));
   EXPECT_TRUE(docs.count(1));
 }
@@ -156,7 +159,7 @@ TEST_F(FixIndexTest, DepthLimitedCandidatesAreElements) {
   const Document& doc = corpus_.doc(0);
   size_t s_candidates = 0;
   for (const auto& c : lookup->candidates) {
-    EXPECT_EQ(corpus_.labels()->Name(doc.label(c.ref.node_id)), "s");
+    EXPECT_EQ(corpus_.labels()->Name(doc.label(c.key.ref.node_id)), "s");
     ++s_candidates;
   }
   EXPECT_GE(s_candidates, 2u);
@@ -210,7 +213,7 @@ TEST_F(FixIndexTest, ValueIndexNeverLosesMatches) {
   // doc 2 — structurally missing pub — must be pruned: its pattern lacks
   // the pub edge entirely and its spectral radius is strictly smaller.
   std::set<uint32_t> docs;
-  for (const auto& c : lookup->candidates) docs.insert(c.ref.doc_id);
+  for (const auto& c : lookup->candidates) docs.insert(c.key.ref.doc_id);
   EXPECT_TRUE(docs.count(0));
   EXPECT_FALSE(docs.count(2));
 }
@@ -228,7 +231,7 @@ TEST_F(FixIndexTest, Lambda2TightensPruning) {
   auto lookup = index->Lookup(Query("/a/c/d"));
   ASSERT_TRUE(lookup.ok());
   std::set<uint32_t> docs;
-  for (const auto& c : lookup->candidates) docs.insert(c.ref.doc_id);
+  for (const auto& c : lookup->candidates) docs.insert(c.key.ref.doc_id);
   EXPECT_TRUE(docs.count(0));
   EXPECT_TRUE(docs.count(1));
 }
@@ -239,15 +242,49 @@ TEST_F(FixIndexTest, QueryFeaturesSymmetricRange) {
   ASSERT_TRUE(index.ok());
   auto key = index->QueryFeatures(Query("//a[b]"));
   ASSERT_TRUE(key.ok());
-  // Anti-symmetric matrices: λ_min = -λ_max, always.
-  EXPECT_DOUBLE_EQ(key->lambda_min, -key->lambda_max);
   EXPECT_GT(key->lambda_max, 0.0);
+  // The key keeps λ_max only. The pair of the same pattern's matrix shows
+  // why that loses nothing: anti-symmetric matrices have λ_min = -λ_max.
+  auto pattern = QueryToBisimGraph(Query("//a[b]"), nullptr);
+  ASSERT_TRUE(pattern.ok());
+  EdgeEncoder encoder;  // interns (a, b) first, as the index did
+  auto pair = SkewEigPair(BuildSkewMatrix(*pattern, &encoder));
+  ASSERT_TRUE(pair.ok());
+  EXPECT_DOUBLE_EQ(pair->lambda_min, -pair->lambda_max);
+  EXPECT_DOUBLE_EQ(pair->lambda_max, key->lambda_max);
 }
 
-// Every indexed entry with its value, in tree order.
+TEST_F(FixIndexTest, EntryIsKeyPlusClusteredOffset) {
+  AddXml("<a><b/><c/></a>");
+  auto plain = FixIndex::Build(&corpus_, Options(2), nullptr);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(plain->btree()->key_size(), 28u);
+  EXPECT_EQ(plain->btree()->value_size(), 0u);
+  IndexOptions clustered_options = Options(0, /*clustered=*/true);
+  clustered_options.path = dir_ + "/clustered.fix";
+  auto clustered = FixIndex::Build(&corpus_, clustered_options, nullptr);
+  ASSERT_TRUE(clustered.ok()) << clustered.status();
+  EXPECT_EQ(clustered->btree()->key_size(), 28u);
+  EXPECT_EQ(clustered->btree()->value_size(), 8u);
+  // The key names the element: doc 0's three elements, in key order.
+  std::set<NodeId> nodes;
+  auto it = plain->btree()->SeekFirst();
+  ASSERT_TRUE(it.ok());
+  while (it->Valid()) {
+    const FeatureKey key = DecodeFeatureKey(it->key());
+    EXPECT_EQ(key.ref.doc_id, 0u);
+    nodes.insert(key.ref.node_id);
+    ASSERT_TRUE(it->Next().ok());
+  }
+  EXPECT_EQ(nodes.size(), 3u);
+}
+
+// Every indexed entry, in tree order: its key decoded and as stored, and
+// its clustered offset.
 struct IndexedEntry {
   FeatureKey key;
-  IndexValue value;
+  std::string encoded;
+  uint64_t clustered_offset = 0;
 };
 
 std::vector<IndexedEntry> ScanAll(FixIndex* index) {
@@ -256,28 +293,26 @@ std::vector<IndexedEntry> ScanAll(FixIndex* index) {
   EXPECT_TRUE(it.ok());
   if (!it.ok()) return rows;
   while (it->Valid()) {
-    rows.push_back(
-        {DecodeFeatureKey(it->key()), DecodeIndexValue(it->value())});
+    rows.push_back({DecodeFeatureKey(it->key()), std::string(it->key()),
+                    DecodeIndexValue(it->value())});
     EXPECT_TRUE(it->Next().ok());
   }
   return rows;
 }
 
 // The containment filter of Algorithm 2, applied row by row: the entries a
-// probe with features `probe` must return, in tree order.
+// probe with features `probe` must return, in tree order. The paper's
+// λ_min bound is the λ_max bound negated (λ_min = -λ_max on both sides),
+// so λ_max carries the whole containment test.
 std::vector<const IndexedEntry*> BruteForceProbe(
     const std::vector<IndexedEntry>& rows, const FeatureKey& probe,
     double eps, bool filter_l2, bool use_root_label) {
   const uint64_t min_lmax = OrderPreservingDouble(probe.lambda_max - eps);
-  const uint64_t max_lmin = OrderPreservingDouble(probe.lambda_min + eps);
   const uint64_t min_l2 = OrderPreservingDouble(probe.lambda2 - eps);
   std::vector<const IndexedEntry*> out;
   for (const IndexedEntry& row : rows) {
     if (use_root_label && row.key.root_label != probe.root_label) continue;
-    if (OrderPreservingDouble(row.key.lambda_max) < min_lmax ||
-        OrderPreservingDouble(row.key.lambda_min) > max_lmin) {
-      continue;
-    }
+    if (OrderPreservingDouble(row.key.lambda_max) < min_lmax) continue;
     if (filter_l2 && OrderPreservingDouble(row.key.lambda2) < min_l2) {
       continue;
     }
@@ -286,15 +321,12 @@ std::vector<const IndexedEntry*> BruteForceProbe(
   return out;
 }
 
-// Byte-exact fingerprint of one candidate: encoded key, node ref and
-// clustered offset.
-std::string Fingerprint(const FeatureKey& key, const NodeRef& ref,
-                        uint64_t clustered_offset) {
+// Byte-exact fingerprint of one candidate: encoded key (which carries the
+// node ref) and clustered offset.
+std::string Fingerprint(const FeatureKey& key, uint64_t clustered_offset) {
   std::string out = EncodeFeatureKey(key);
-  char buf[16];
-  std::memcpy(buf, &ref.doc_id, 4);
-  std::memcpy(buf + 4, &ref.node_id, 4);
-  std::memcpy(buf + 8, &clustered_offset, 8);
+  char buf[8];
+  std::memcpy(buf, &clustered_offset, 8);
   out.append(buf, sizeof(buf));
   return out;
 }
@@ -340,20 +372,20 @@ TEST_F(FixIndexTest, ExactBoundaryMatchesBruteForce) {
         const uint64_t min_lmax =
             OrderPreservingDouble(probe->lambda_max - eps);
         for (bool use_root_label : {true, false}) {
-          std::vector<uint32_t> want;
+          std::vector<std::string> want;
           for (const IndexedEntry* row :
                BruteForceProbe(rows, *probe, eps, !sound, use_root_label)) {
-            want.push_back(row->key.seq);
+            want.push_back(row->encoded);
             on_boundary +=
                 OrderPreservingDouble(row->key.lambda_max) == min_lmax;
           }
           auto got = index->Probe(part, use_root_label);
           ASSERT_TRUE(got.ok());
-          std::vector<uint32_t> got_seqs;
+          std::vector<std::string> got_keys;
           for (const FixIndex::Candidate& c : got->candidates) {
-            got_seqs.push_back(c.key.seq);
+            got_keys.push_back(EncodeFeatureKey(c.key));
           }
-          EXPECT_EQ(got_seqs, want)
+          EXPECT_EQ(got_keys, want)
               << "root_label=" << use_root_label << " query=" << q.ToString();
         }
       }
@@ -434,14 +466,13 @@ TEST_F(FixIndexTest, RandomProbesMatchBruteForce) {
           for (const IndexedEntry* row :
                BruteForceProbe(rows, *probe, options.epsilon, !sound,
                                use_root_label)) {
-            want += Fingerprint(row->key, row->value.ref,
-                                row->value.clustered_offset);
+            want += Fingerprint(row->key, row->clustered_offset);
           }
           auto got = index->Probe(part, use_root_label);
           ASSERT_TRUE(got.ok());
           std::string got_bytes;
           for (const FixIndex::Candidate& c : got->candidates) {
-            got_bytes += Fingerprint(c.key, c.ref, c.clustered_offset);
+            got_bytes += Fingerprint(c.key, c.clustered_offset);
           }
           ASSERT_EQ(got_bytes, want)
               << "root_label=" << use_root_label << " query=" << q.ToString();

@@ -286,7 +286,6 @@ TEST(FuzzTest, IndexMetaPrefixesAlwaysRejected) {
   // that silently decodes to a shorter valid meta.
   IndexMeta meta;
   meta.options.depth_limit = 5;
-  meta.next_seq = 9;
   meta.edge_weights = {{7, 1}, {8, 2}, {9, 3}};
   meta.indexed_docs = 1234;
   std::string buf = EncodeIndexMeta(meta);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/crc32c.h"
 #include "core/corpus.h"
 #include "core/database.h"
 #include "core/fix_index.h"
@@ -17,6 +18,7 @@
 #include "datagen/datasets.h"
 #include "datagen/query_gen.h"
 #include "query/xpath_parser.h"
+#include "storage/wal.h"
 #include "xml/serializer.h"
 
 namespace fix {
@@ -27,11 +29,30 @@ uint32_t MetaVersion(const std::string& meta) {
   return DecodeFixed32(meta.data() + 4);
 }
 
+// Hand-encodes the v6 form of a meta: v6 is the v7 layout with the header
+// version set to 6 and the key-sequence counter that v1–v6 wrote right
+// after the options.
+std::string AsV6Meta(const std::string& v7, uint32_t seq_counter = 0) {
+  EXPECT_EQ(MetaVersion(v7), 7u);
+  size_t pos = 8;
+  uint32_t field32 = 0;
+  uint64_t field64 = 0;
+  // depth, clustered, value_beta, use_lambda2, sound_probe
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(GetVarint32(v7, &pos, &field32));
+  pos += 8;  // epsilon
+  EXPECT_TRUE(GetVarint64(v7, &pos, &field64));  // max_pattern_vertices
+  EXPECT_TRUE(GetVarint64(v7, &pos, &field64));  // max_expanded_nodes
+  std::string counter;
+  PutVarint32(&counter, seq_counter);
+  std::string v6 = v7.substr(0, pos) + counter + v7.substr(pos);
+  EncodeFixed32(v6.data() + 4, 6);
+  return v6;
+}
+
 // Hand-encodes the v5 form of a meta: v5 is the v6 layout with the header
 // version set to 5.
-std::string AsV5Meta(const std::string& v6) {
-  std::string v5 = v6;
-  EXPECT_EQ(MetaVersion(v5), 6u);
+std::string AsV5Meta(const std::string& v7) {
+  std::string v5 = AsV6Meta(v7);
   EncodeFixed32(v5.data() + 4, 5);
   return v5;
 }
@@ -39,11 +60,23 @@ std::string AsV5Meta(const std::string& v6) {
 // Hand-encodes the v4 form of a meta: v4 is the v5 layout with the header
 // version set to 4 and a trailing probe-engine selector (0 = B+-tree,
 // 1 = kd-tree, 2 = auto).
-std::string AsV4Meta(const std::string& v6, uint32_t engine) {
-  std::string v4 = AsV5Meta(v6);
+std::string AsV4Meta(const std::string& v7, uint32_t engine) {
+  std::string v4 = AsV5Meta(v7);
   EncodeFixed32(v4.data() + 4, 4);
   PutVarint32(&v4, engine);
   return v4;
+}
+
+// A format-1 write-ahead log header, as indexes before meta v7 wrote it:
+// 32-byte keys and 16-byte values. No current reader accepts it.
+std::string V1WalHeader() {
+  std::string header(32, '\0');
+  EncodeFixed32(header.data(), kWalMagic);
+  EncodeFixed32(header.data() + 4, 1);
+  EncodeFixed32(header.data() + 8, 32);
+  EncodeFixed32(header.data() + 12, 16);
+  EncodeFixed32(header.data() + 28, Crc32c(header.data(), 28));
+  return header;
 }
 
 class PersistTest : public ::testing::Test {
@@ -115,7 +148,6 @@ TEST_F(PersistTest, IndexMetaRoundTrip) {
   meta.options.use_lambda2 = true;
   meta.options.sound_probe = true;
   meta.options.epsilon = 1e-7;
-  meta.next_seq = 4242;
   meta.edge_weights = {{0x100000002ULL, 1}, {0x300000004ULL, 7}};
   meta.storage_format = 1;
   meta.indexed_docs = 321;
@@ -127,7 +159,7 @@ TEST_F(PersistTest, IndexMetaRoundTrip) {
   EXPECT_TRUE(restored->options.use_lambda2);
   EXPECT_TRUE(restored->options.sound_probe);
   EXPECT_DOUBLE_EQ(restored->options.epsilon, 1e-7);
-  EXPECT_EQ(restored->next_seq, 4242u);
+  EXPECT_EQ(restored->version, kIndexMetaVersion);
   EXPECT_EQ(restored->edge_weights, meta.edge_weights);
   EXPECT_EQ(restored->storage_format, 1u);
   EXPECT_EQ(restored->indexed_docs, 321u);
@@ -137,33 +169,38 @@ TEST_F(PersistTest, IndexMetaV4EngineFieldIsValidatedAndDropped) {
   IndexMeta meta;
   meta.options.depth_limit = 3;
   meta.options.sound_probe = true;
-  meta.next_seq = 17;
   meta.indexed_docs = 9;
   meta.generation = 5;
   meta.wal_bytes = 64;
-  const std::string v6 = EncodeIndexMeta(meta);
+  const std::string v7 = EncodeIndexMeta(meta);
   for (uint32_t engine : {0u, 1u, 2u}) {
     SCOPED_TRACE(engine);
-    auto restored = DecodeIndexMeta(AsV4Meta(v6, engine));
+    auto restored = DecodeIndexMeta(AsV4Meta(v7, engine));
     ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_EQ(EncodeIndexMeta(*restored), v6);
+    EXPECT_EQ(restored->version, 4u);
+    EXPECT_EQ(EncodeIndexMeta(*restored), v7);
   }
-  // v5 has the v6 layout and decodes to the same meta.
-  auto from_v5 = DecodeIndexMeta(AsV5Meta(v6));
+  // v5 and v6 decode to the same meta; their sequence counter is dropped.
+  auto from_v5 = DecodeIndexMeta(AsV5Meta(v7));
   ASSERT_TRUE(from_v5.ok()) << from_v5.status();
-  EXPECT_EQ(EncodeIndexMeta(*from_v5), v6);
+  EXPECT_EQ(from_v5->version, 5u);
+  EXPECT_EQ(EncodeIndexMeta(*from_v5), v7);
+  auto from_v6 = DecodeIndexMeta(AsV6Meta(v7, /*seq_counter=*/300000));
+  ASSERT_TRUE(from_v6.ok()) << from_v6.status();
+  EXPECT_EQ(from_v6->version, 6u);
+  EXPECT_EQ(EncodeIndexMeta(*from_v6), v7);
   // An engine value no v4 writer could emit is damage.
-  auto unknown = DecodeIndexMeta(AsV4Meta(v6, 3));
+  auto unknown = DecodeIndexMeta(AsV4Meta(v7, 3));
   ASSERT_FALSE(unknown.ok());
   EXPECT_TRUE(unknown.status().IsCorruption()) << unknown.status();
   // A v4 header without its selector is truncated.
-  std::string truncated = AsV4Meta(v6, 0);
+  std::string truncated = AsV4Meta(v7, 0);
   truncated.pop_back();
   auto short_meta = DecodeIndexMeta(truncated);
   ASSERT_FALSE(short_meta.ok());
   EXPECT_TRUE(short_meta.status().IsCorruption()) << short_meta.status();
-  // v5 and v6 carry no selector, so a trailing byte is damage too.
-  auto trailing = DecodeIndexMeta(v6 + '\0');
+  // v5–v7 carry no selector, so a trailing byte is damage too.
+  auto trailing = DecodeIndexMeta(v7 + '\0');
   ASSERT_FALSE(trailing.ok());
   EXPECT_TRUE(trailing.status().IsCorruption()) << trailing.status();
 }
@@ -257,116 +294,103 @@ TEST_F(PersistTest, ReopenedClusteredIndexServesCopies) {
 
 // Indexes persisted by meta v4 — whatever probe engine they selected — and
 // by meta v5 reopen and answer byte-identically to a fresh v6 index.
-// Opening also unlinks the kd-tree file v4 indexes kept next to the
-// B+-tree. A v5 index (whose leaves may still carry the sibling chain that
-// is no longer read) then takes one insert exactly like a v6 twin of it,
-// and its meta is rewritten as v6.
-TEST_F(PersistTest, V4IndexOpensAndAnswersLikeV5) {
-  Corpus corpus;
-  DblpOptions gen;
-  gen.num_publications = 80;
-  GenerateDblp(&corpus, gen);
-  ASSERT_TRUE(corpus.Save(dir_).ok());
+// An index written before meta v7 holds 48-byte entries. FixIndex::Open
+// refuses it with NotSupported before reading the log (here a format-1 log
+// no current reader accepts) or any page. Database::Open upgrades it by
+// rebuilding from the corpus with the options the old meta recorded: the
+// answers and candidate counts equal a fresh index's, nothing is
+// quarantined, and a v7 meta is on disk afterwards.
+TEST_F(PersistTest, PreV7IndexUpgradesByRebuildOnDatabaseOpen) {
+  const std::string tmpl = dir_ + "/tmpl";
+  std::filesystem::create_directories(tmpl);
   IndexOptions options;
   options.depth_limit = 4;
-  options.path = dir_ + "/v.fix";
-  auto built = FixIndex::Build(&corpus, options, nullptr);
-  ASSERT_TRUE(built.ok()) << built.status();
+  options.sound_probe = true;
+  {
+    Database db(tmpl);
+    DblpOptions gen;
+    gen.num_publications = 80;
+    GenerateDblp(db.corpus(), gen);
+    ASSERT_TRUE(db.Finalize().ok());
+    ASSERT_TRUE(db.BuildIndex("main", options, nullptr).ok());
+    ASSERT_TRUE(db.Save().ok());
+  }
+  auto v7 = ReadFile(tmpl + "/main.fix.meta");
+  ASSERT_TRUE(v7.ok());
+  ASSERT_EQ(MetaVersion(*v7), 7u);
 
   QueryGenOptions qopts;
   qopts.seed = 404;
   qopts.max_depth = 4;
-  auto queries = GenerateRandomQueries(corpus, 25, qopts);
-  ASSERT_GT(queries.size(), 5u);
-  std::vector<std::vector<NodeRef>> want(queries.size());
-  std::vector<uint64_t> want_candidates(queries.size());
-  FixQueryProcessor fresh(&corpus, &*built);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto stats = fresh.Execute(queries[i], &want[i]);
-    ASSERT_TRUE(stats.ok());
-    want_candidates[i] = stats->candidates;
+  std::vector<TwigQuery> queries;
+  std::vector<std::vector<NodeRef>> want;
+  std::vector<uint64_t> want_candidates;
+  {
+    auto fresh = Database::Open(tmpl);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    queries = GenerateRandomQueries(*(*fresh)->corpus(), 25, qopts);
+    ASSERT_GT(queries.size(), 5u);
+    FixQueryProcessor processor((*fresh)->corpus(), (*fresh)->index("main"));
+    for (const TwigQuery& q : queries) {
+      want.emplace_back();
+      auto stats = processor.Execute(q, &want.back());
+      ASSERT_TRUE(stats.ok());
+      want_candidates.push_back(stats->candidates);
+    }
   }
 
-  auto v6 = ReadFile(dir_ + "/v.fix.meta");
-  ASSERT_TRUE(v6.ok());
-  ASSERT_EQ(MetaVersion(*v6), 6u);
-  // Older metas to reopen under: v4 with each engine, then v5 (last, so the
-  // insert below runs against a v5 index).
   std::vector<std::string> old_metas;
   for (uint32_t engine : {0u, 1u, 2u}) {
-    old_metas.push_back(AsV4Meta(*v6, engine));
+    old_metas.push_back(AsV4Meta(*v7, engine));
   }
-  old_metas.push_back(AsV5Meta(*v6));
-  const std::string kd_tree_file = dir_ + "/v.fix" + kLegacyKdTreeSuffix;
-  for (const std::string& old_meta : old_metas) {
-    SCOPED_TRACE(MetaVersion(old_meta));
-    ASSERT_TRUE(WriteFile(dir_ + "/v.fix.meta", old_meta).ok());
-    ASSERT_TRUE(WriteFile(kd_tree_file, std::string(4096, 'k')).ok());
+  old_metas.push_back(AsV5Meta(*v7));
+  old_metas.push_back(AsV6Meta(*v7, /*seq_counter=*/12345));
+  for (size_t k = 0; k < old_metas.size(); ++k) {
+    SCOPED_TRACE("meta v" + std::to_string(MetaVersion(old_metas[k])));
+    const std::string wd = dir_ + "/old" + std::to_string(k);
+    std::filesystem::copy(tmpl, wd, std::filesystem::copy_options::recursive);
+    ASSERT_TRUE(WriteFile(wd + "/main.fix.meta", old_metas[k]).ok());
+    ASSERT_TRUE(WriteFile(wd + "/main.fix.wal", V1WalHeader()).ok());
 
-    auto corpus2 = Corpus::Load(dir_);
-    ASSERT_TRUE(corpus2.ok());
-    auto reopened = FixIndex::Open(&*corpus2, dir_ + "/v.fix");
-    ASSERT_TRUE(reopened.ok()) << reopened.status();
-    EXPECT_FALSE(std::filesystem::exists(kd_tree_file));
-    EXPECT_EQ(reopened->num_entries(), built->num_entries());
-    FixQueryProcessor processor(&*corpus2, &*reopened);
+    {
+      auto corpus = Corpus::Load(wd);
+      ASSERT_TRUE(corpus.ok());
+      auto refused = FixIndex::Open(&*corpus, wd + "/main.fix");
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(), StatusCode::kNotSupported)
+          << refused.status();
+    }
+
+    auto db = Database::Open(wd);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_FALSE((*db)->IsDegraded("main"));
+    const StorageHealth health = (*db)->health();
+    EXPECT_EQ(health.rebuilds, 1u);
+    EXPECT_EQ(health.corruption_events, 0u);
+    EXPECT_EQ(health.quarantined_indexes, 0u);
+    FixIndex* index = (*db)->index("main");
+    ASSERT_NE(index, nullptr);
+    EXPECT_EQ(index->options().depth_limit, 4);
+    EXPECT_TRUE(index->options().sound_probe);
+    FixQueryProcessor processor((*db)->corpus(), index);
     for (size_t i = 0; i < queries.size(); ++i) {
       TwigQuery q = queries[i];
-      q.ResolveLabels(corpus2->labels());
+      q.ResolveLabels((*db)->corpus()->labels());
       std::vector<NodeRef> got;
       auto stats = processor.Execute(q, &got);
       ASSERT_TRUE(stats.ok());
       EXPECT_EQ(got, want[i]) << q.ToString();
       EXPECT_EQ(stats->candidates, want_candidates[i]) << q.ToString();
     }
+    auto upgraded = ReadFile(wd + "/main.fix.meta");
+    ASSERT_TRUE(upgraded.ok());
+    EXPECT_EQ(MetaVersion(*upgraded), kIndexMetaVersion);
+    EXPECT_FALSE(std::filesystem::exists(wd + "/main.fix.meta.quarantined"));
+    auto wal = Wal::Inspect(wd + "/main.fix.wal");
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    EXPECT_EQ(wal->key_size, kFeatureKeySize);
+    EXPECT_EQ(wal->value_size, 0u);
   }
-
-  // The v5 index and a v6 twin of it (same files, v6 meta) take the same
-  // insert and must answer identically afterwards.
-  const std::string twin = dir_ + "/twin.fix";
-  std::filesystem::copy_file(dir_ + "/v.fix", twin);
-  if (std::filesystem::exists(dir_ + "/v.fix.wal")) {
-    std::filesystem::copy_file(dir_ + "/v.fix.wal", twin + ".wal");
-  }
-  ASSERT_TRUE(WriteFile(twin + ".meta", *v6).ok());
-  const std::string xml = SerializeXml(corpus.doc(0), *corpus.labels());
-  auto corpus_v5 = Corpus::Load(dir_);
-  auto corpus_v6 = Corpus::Load(dir_);
-  ASSERT_TRUE(corpus_v5.ok());
-  ASSERT_TRUE(corpus_v6.ok());
-  auto doc_v5 = corpus_v5->AddXml(xml);
-  auto doc_v6 = corpus_v6->AddXml(xml);
-  ASSERT_TRUE(doc_v5.ok()) << doc_v5.status();
-  ASSERT_TRUE(doc_v6.ok()) << doc_v6.status();
-  ASSERT_EQ(*doc_v5, *doc_v6);
-  auto index_v5 = FixIndex::Open(&*corpus_v5, dir_ + "/v.fix");
-  auto index_v6 = FixIndex::Open(&*corpus_v6, twin);
-  ASSERT_TRUE(index_v5.ok()) << index_v5.status();
-  ASSERT_TRUE(index_v6.ok()) << index_v6.status();
-  ASSERT_TRUE(index_v5->InsertDocument(*doc_v5).ok());
-  ASSERT_TRUE(index_v6->InsertDocument(*doc_v6).ok());
-  EXPECT_EQ(index_v5->num_entries(), index_v6->num_entries());
-  EXPECT_GT(index_v5->num_entries(), built->num_entries());
-  auto rewritten = ReadFile(dir_ + "/v.fix.meta");
-  ASSERT_TRUE(rewritten.ok());
-  EXPECT_EQ(MetaVersion(*rewritten), 6u);
-
-  FixQueryProcessor processor_v5(&*corpus_v5, &*index_v5);
-  FixQueryProcessor processor_v6(&*corpus_v6, &*index_v6);
-  size_t grew = 0;
-  for (const TwigQuery& query : queries) {
-    TwigQuery q = query;
-    q.ResolveLabels(corpus_v5->labels());
-    std::vector<NodeRef> got_v5, got_v6;
-    auto stats_v5 = processor_v5.Execute(q, &got_v5);
-    auto stats_v6 = processor_v6.Execute(q, &got_v6);
-    ASSERT_TRUE(stats_v5.ok());
-    ASSERT_TRUE(stats_v6.ok());
-    EXPECT_EQ(got_v5, got_v6) << q.ToString();
-    EXPECT_EQ(stats_v5->candidates, stats_v6->candidates) << q.ToString();
-    for (const NodeRef& ref : got_v5) grew += ref.doc_id == *doc_v5;
-  }
-  EXPECT_GT(grew, 0u);  // the inserted copy of doc 0 is found
 }
 
 // An upgraded database directory sheds the kd-tree file on Database::Open

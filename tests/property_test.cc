@@ -6,12 +6,16 @@
 //  P2 (exactness after refinement): FIX results == full-scan results.
 //  P3 (Theorem 4): depth-limited indexing creates exactly one entry per
 //     element of documents deeper than the limit.
-//  P4 (spectral symmetry): every indexed key has λ_min = -λ_max.
+//  P4 (spectral symmetry): every indexed pattern has λ_min = -λ_max, which
+//     is why the key stores λ_max alone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -23,6 +27,14 @@
 #include "core/metrics.h"
 #include "datagen/datasets.h"
 #include "datagen/query_gen.h"
+#include "graph/bisim_builder.h"
+#include "graph/bisim_traveler.h"
+#include "spectral/edge_encoder.h"
+#include "spectral/feature_cache.h"
+#include "spectral/skew_matrix.h"
+#include "spectral/spectrum.h"
+#include "spectral/sym_eigen.h"
+#include "xml/sax.h"
 
 namespace fix {
 namespace {
@@ -169,16 +181,71 @@ TEST_P(PropertyTest, IndexedKeysAreSymmetricRanges) {
   ASSERT_TRUE(index.ok());
   auto it = index->btree()->SeekFirst();
   ASSERT_TRUE(it.ok());
+  std::map<uint32_t, std::vector<NodeId>> finite_by_doc;
   uint64_t checked = 0;
   while (it->Valid()) {
     FeatureKey k = DecodeFeatureKey(it->key());
-    EXPECT_DOUBLE_EQ(k.lambda_min, -k.lambda_max);
     EXPECT_GE(k.lambda_max, 0.0);
     EXPECT_GE(k.lambda_max, k.lambda2);
+    if (std::isfinite(k.lambda_max)) {
+      finite_by_doc[k.ref.doc_id].push_back(k.ref.node_id);
+    }
     ++checked;
     ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(checked, index->num_entries());
+
+  // The key keeps λ_max only. Recompute each distinct indexed pattern and
+  // check the symmetry that makes λ_min redundant: on its SkewEigPair, and
+  // on the signed spectrum of the Hermitian iM (via the real embedding
+  // [[0, -M], [M, 0]]), which must read the same negated and reversed.
+  EdgeEncoder encoder;
+  std::set<std::string> seen;
+  for (const auto& [doc_id, nodes] : finite_by_doc) {
+    std::map<NodeId, BisimVertexId> vertex_of;
+    DocumentEventStream stream(&corpus_.doc(doc_id), doc_id,
+                               index->value_hasher());
+    BisimBuilder builder;
+    auto graph = builder.Build(
+        &stream, [&](BisimGraph*, BisimVertexId v, NodeRef ref, bool) {
+          vertex_of[ref.node_id] = v;
+          return Status::OK();
+        });
+    ASSERT_TRUE(graph.ok());
+    for (NodeId node : nodes) {
+      std::optional<BisimGraph> limited;
+      if (config.depth_limit > 0) {
+        auto built = BuildDepthLimitedPattern(*graph, vertex_of.at(node),
+                                              config.depth_limit);
+        ASSERT_TRUE(built.ok());
+        limited = std::move(built).value();
+      }
+      const BisimGraph& pattern = limited.has_value() ? *limited : *graph;
+      if (!seen.insert(CanonicalPatternSignature(pattern)).second) continue;
+      const DenseMatrix m = BuildSkewMatrix(pattern, &encoder);
+      auto pair = SkewEigPair(m);
+      ASSERT_TRUE(pair.ok());
+      EXPECT_DOUBLE_EQ(pair->lambda_min, -pair->lambda_max);
+      if (m.n() > 24) continue;  // the O((2n)^3) reference stays small
+      const size_t n = m.n();
+      DenseMatrix big(2 * n);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          big.at(i, n + j) = -m.at(i, j);
+          big.at(n + i, j) = m.at(i, j);
+        }
+      }
+      auto signed_eigs = SymmetricEigenvalues(big);
+      ASSERT_TRUE(signed_eigs.ok());
+      std::vector<double> e = std::move(signed_eigs).value();
+      std::sort(e.begin(), e.end());
+      for (size_t i = 0; i < e.size(); ++i) {
+        EXPECT_NEAR(e[i], -e[e.size() - 1 - i], 1e-8);
+      }
+      EXPECT_NEAR(e.back(), pair->lambda_max, 1e-8);
+    }
+  }
+  EXPECT_FALSE(seen.empty());
 }
 
 // Paper-mode (sound_probe=false) configurations are deterministic (fixed

@@ -106,8 +106,10 @@ echo "=== [5/13] Fault-injection suite (Release + ASan) ==="
 echo "=== [6/13] WAL crash loop + mixed read/write bench ==="
 # The COW+WAL acceptance loop on its own: FaultInjectionPageIo crashes the
 # data file and the log at every write index of an InsertDocument commit,
-# plus the fsync fail-stop latch, the torn-tail discard, and the online
-# rebuild swap. ASan re-runs it to catch lifetime bugs in the replay path.
+# plus the fsync fail-stop latch, the torn-tail discard, the online
+# rebuild swap, and the upgrade of a pre-v7 index by rebuild at open
+# (RebuildUpgradesPreV7Index crashes that rebuild at every write). ASan
+# re-runs it to catch lifetime bugs in the replay path.
 (cd build && ctest -R '^RecoveryTest\.(Wal|Rebuild)' --output-on-failure)
 (cd build-asan && ctest -R '^RecoveryTest\.(Wal|Rebuild)' --output-on-failure)
 # Readers at full service while a single writer commits generations: the
