@@ -132,9 +132,8 @@ void BM_BTreeBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeBulkLoad)->Arg(1000)->Arg(10000);
 
-void BM_ParallelIndexBuild(benchmark::State& state) {
-  // End-to-end pipeline scaling: full FIX build over a small XMark corpus
-  // at state.range(0) worker threads.
+void BM_IndexBuild(benchmark::State& state) {
+  // End-to-end pipeline: full FIX build over a small XMark corpus at depth 6.
   std::string dir = "/tmp/fix_bench_micro_pipeline";
   Corpus corpus;
   XMarkOptions xmark;
@@ -151,7 +150,6 @@ void BM_ParallelIndexBuild(benchmark::State& state) {
     state.ResumeTiming();
     IndexOptions options;
     options.depth_limit = 6;
-    options.build_threads = static_cast<uint32_t>(state.range(0));
     options.path = dir + "/index.fix";
     BuildStats stats;
     auto idx = FixIndex::Build(&corpus, options, &stats);
@@ -159,8 +157,7 @@ void BM_ParallelIndexBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.entries);
   }
 }
-BENCHMARK(BM_ParallelIndexBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeSeekScan(benchmark::State& state) {
   // Seek plus a 64-entry scan over a bulk-loaded tree (packed 48-byte

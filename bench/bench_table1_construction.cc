@@ -73,41 +73,6 @@ void Run() {
                             : 0.0)});
   }
 
-  report.Section("thread scaling (unclustered, paper depth limit)");
-  report.Note("Pipeline sweep over build_threads; cache hit rate = hits /");
-  report.Note("(hits + misses) of the spectral feature cache (64 MiB).");
-  report.Header({"dataset", "threads", "ICT", "speedup", "cache_hits",
-                 "cache_misses", "hit_rate", "evictions"});
-  for (const PaperRow& paper : kPaper) {
-    auto corpus = BuildCorpus(paper.data);
-    double base_seconds = 0;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      BuildStats stats;
-      auto idx = BuildFix(
-          corpus.get(), paper.data, /*clustered=*/false, 0, &stats,
-          std::string("t1s_") + DataSetName(paper.data) + "_t" +
-              std::to_string(threads),
-          /*use_lambda2=*/false, /*depth_limit_override=*/-1,
-          /*sound_probe=*/false, threads);
-      FIX_CHECK(idx.ok());
-      if (threads == 1) base_seconds = stats.construction_seconds;
-      const uint64_t lookups =
-          stats.feature_cache_hits + stats.feature_cache_misses;
-      char ict[32], speedup[32];
-      std::snprintf(ict, sizeof(ict), "%.2f s", stats.construction_seconds);
-      std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                    stats.construction_seconds > 0
-                        ? base_seconds / stats.construction_seconds
-                        : 0.0);
-      report.Row({DataSetName(paper.data), Num(threads), ict, speedup,
-                  Num(stats.feature_cache_hits),
-                  Num(stats.feature_cache_misses),
-                  Pct(lookups ? double(stats.feature_cache_hits) / lookups
-                              : 0.0),
-                  Num(stats.feature_cache_evictions)});
-    }
-  }
-
   report.Section("paper values (full-scale data, Pentium 4, Berkeley DB)");
   report.Header({"dataset", "size", "elements", "ICT", "UIdx", "CIdx"});
   for (const PaperRow& paper : kPaper) {

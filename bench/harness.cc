@@ -67,8 +67,7 @@ std::string WorkDir(const std::string& tag) {
 Result<FixIndex> BuildFix(Corpus* corpus, DataSet data, bool clustered,
                           uint32_t value_beta, BuildStats* stats,
                           const std::string& tag, bool use_lambda2,
-                          int depth_limit_override, bool sound_probe,
-                          uint32_t build_threads, uint32_t feature_cache_mb) {
+                          int depth_limit_override, bool sound_probe) {
   IndexOptions options;
   options.depth_limit = depth_limit_override >= 0 ? depth_limit_override
                                                   : PaperDepthLimit(data);
@@ -76,8 +75,6 @@ Result<FixIndex> BuildFix(Corpus* corpus, DataSet data, bool clustered,
   options.value_beta = value_beta;
   options.use_lambda2 = use_lambda2;
   options.sound_probe = sound_probe;
-  options.build_threads = build_threads;
-  options.feature_cache_mb = feature_cache_mb;
   options.path = WorkDir(tag) + "/index.fix";
   return FixIndex::Build(corpus, options, stats);
 }

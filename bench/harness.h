@@ -30,15 +30,13 @@ std::unique_ptr<Corpus> BuildCorpus(DataSet data);
 /// collection, 6 elsewhere).
 int PaperDepthLimit(DataSet data);
 
-/// Builds a FIX index over `corpus` in a temp work dir. `build_threads`
-/// and `feature_cache_mb` mirror the IndexOptions fields of the same name
-/// (defaults match IndexOptions).
+/// Builds a FIX index over `corpus` in a temp work dir, with the
+/// IndexOptions defaults for every knob not named here.
 [[nodiscard]] Result<FixIndex> BuildFix(Corpus* corpus, DataSet data, bool clustered,
                           uint32_t value_beta, BuildStats* stats,
                           const std::string& tag, bool use_lambda2 = false,
                           int depth_limit_override = -1,
-                          bool sound_probe = false, uint32_t build_threads = 1,
-                          uint32_t feature_cache_mb = 64);
+                          bool sound_probe = false);
 
 /// Parses + resolves an XPath string against the corpus.
 TwigQuery Compile(Corpus* corpus, const std::string& xpath);

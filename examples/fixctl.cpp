@@ -115,8 +115,6 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
       options.use_lambda2 = true;
     } else if (arg == "--sound") {
       options.sound_probe = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.build_threads = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--cache-mb" && i + 1 < argc) {
       options.feature_cache_mb = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--shards" && i + 1 < argc) {

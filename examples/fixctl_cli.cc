@@ -13,7 +13,6 @@ const CliFlag kBuildFlags[] = {
     {"--lambda2", nullptr, "add the third singular value to the key"},
     {"--sound", nullptr, "probe with the pairwise bound only (no false "
                          "negatives under quotienting)"},
-    {"--threads", "N", "build worker threads (0 = hardware concurrency)"},
     {"--cache-mb", "M", "spectral feature cache budget in MiB (0 = off)"},
     {"--shards", "N",
      "partition into N hash shards and build each shard's index in "

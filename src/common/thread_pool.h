@@ -1,17 +1,17 @@
-// A small fixed-size thread pool for the index construction pipeline.
+// A small fixed-size thread pool for fan-out work: the server's request
+// workers, the query processor's per-document refinement, and the sharded
+// database's per-shard builds, probes and commits.
 //
 // The pool is deliberately minimal: Submit enqueues a task, Wait blocks
 // until every submitted task has finished. There is no futures machinery —
-// pipeline stages communicate through pre-sized arrays indexed by task id,
-// so workers never contend on output structures and the fallible work
+// callers communicate through pre-sized arrays indexed by task id, so
+// workers never contend on output structures and the fallible work
 // records per-slot Statuses instead of throwing.
 //
-// ParallelFor is the only construct the pipeline uses directly: it runs
-// fn(0..n-1) with dynamic (claim-next) scheduling, the calling thread
-// participating alongside the workers. With a null pool (or a single-thread
-// pool) it degenerates to a plain sequential loop on the calling thread, so
-// build_threads=1 exercises byte-for-byte the same code path without ever
-// touching a mutex.
+// ParallelFor runs fn(0..n-1) with dynamic (claim-next) scheduling, the
+// calling thread participating alongside the workers. With a null pool (or
+// a single-thread pool) it degenerates to a plain sequential loop on the
+// calling thread.
 
 #ifndef FIX_COMMON_THREAD_POOL_H_
 #define FIX_COMMON_THREAD_POOL_H_

@@ -26,13 +26,6 @@ Status Corpus::WritePrimaryStorage(const std::string& path) {
   return primary_.Sync();
 }
 
-Status Corpus::TouchPrimary(uint32_t id) const {
-  if (!primary_.is_open() || id >= primary_ids_.size()) return Status::OK();
-  // Read only the record header: resolving a pointer is one random I/O
-  // regardless of payload size (NoK-style storage navigates in place).
-  return primary_.Touch(primary_ids_[id]);
-}
-
 size_t Corpus::TotalElements() const {
   size_t n = 0;
   for (const Document& d : docs_) n += d.CountElements();

@@ -48,11 +48,6 @@ class Corpus {
   /// refinement wants I/O accounting.
   [[nodiscard]] Status WritePrimaryStorage(const std::string& path);
 
-  /// Charges one random read of document `id` against the primary store
-  /// (refinement-time I/O for unclustered candidates). No-op if the primary
-  /// store was never written.
-  [[nodiscard]] Status TouchPrimary(uint32_t id) const;
-
   bool has_primary() const { return primary_.is_open(); }
   const RecordStore& primary() const { return primary_; }
   RecordStore* mutable_primary() { return &primary_; }

@@ -5,13 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "graph/bisim_builder.h"
@@ -25,17 +23,6 @@
 namespace fix {
 
 namespace {
-
-/// See IndexOptions::build_threads: 0 means hardware concurrency, then
-/// clamp to [1, 64].
-uint32_t ResolveBuildThreads(uint32_t requested) {
-  uint32_t n = requested;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
-  return std::clamp<uint32_t>(n, 1, 64);
-}
 
 EigPair OversizedPair() {
   EigPair p;
@@ -73,8 +60,6 @@ void RecordBuildStats(const BuildStats& stats) {
   static Counter* edges = r.FindOrCreateCounter(
       "fix.build.bisim_edges.total", "edges",
       "bisimulation-graph edges built");
-  static Gauge* threads = r.FindOrCreateGauge(
-      "fix.build.threads", "threads", "thread count of the last build");
   static Histogram* duration = r.FindOrCreateHistogram(
       "fix.build.construction_us", "us", "bulk build wall time");
   builds->Increment();
@@ -83,7 +68,6 @@ void RecordBuildStats(const BuildStats& stats) {
   distinct->Add(stats.distinct_patterns);
   vertices->Add(stats.bisim_vertices);
   edges->Add(stats.bisim_edges);
-  threads->Set(stats.build_threads_used);
   duration->Record(
       static_cast<uint64_t>(stats.construction_seconds * 1e6));
 }
@@ -133,9 +117,9 @@ Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
     index.wal_ = std::move(wal).value();
   }
 
-  // CONSTRUCT-INDEX over the collection: the batched fan-out / intern /
-  // solve / emit pipeline, then a sorted bulk load (see DESIGN.md,
-  // "Entry pipeline").
+  // CONSTRUCT-INDEX over the collection: the prepare / intern / solve /
+  // emit pipeline, one document at a time, then a sorted bulk load (see
+  // DESIGN.md, "Entry pipeline").
   FIX_RETURN_IF_ERROR(index.BuildPipeline(stats));
   FIX_RETURN_IF_ERROR(index.btree_->Flush());
   // The page file is deliberately not fsynced here: a bulk build is a
@@ -153,17 +137,13 @@ Result<FixIndex> FixIndex::Build(Corpus* corpus, const IndexOptions& options,
   stats->clustered_bytes = index.ClusteredBytes();
   RecordBuildStats(*stats);
   span.AddAttr("entries", stats->entries);
-  span.AddAttr("threads", static_cast<uint64_t>(stats->build_threads_used));
   return index;
 }
 
-void FixIndex::PrepareDocument(uint32_t doc_id, DocWork* out) const {
+Status FixIndex::PrepareDocument(uint32_t doc_id, DocWork* out) const {
   const Document& doc = corpus_->doc(doc_id);
   NodeId root_elem = doc.root_element();
-  if (root_elem == kInvalidNode) {
-    out->empty = true;
-    return;
-  }
+  if (root_elem == kInvalidNode) return Status::OK();  // no entries
   out->depth = doc.Depth(root_elem);
   // DEVIATION FROM ALGORITHM 1 (documented in DESIGN.md, finding F2): the
   // paper indexes documents shallower than L as single whole-document
@@ -216,14 +196,10 @@ void FixIndex::PrepareDocument(uint32_t doc_id, DocWork* out) const {
     out->patterns.push_back(std::move(work));
     return Status::OK();
   };
-  auto built = builder.Build(&stream, on_close);
-  if (!built.ok()) {
-    out->status = built.status();
-    return;
-  }
-  out->graph = std::move(built).value();
+  FIX_ASSIGN_OR_RETURN(out->graph, builder.Build(&stream, on_close));
   out->vertices = out->graph.num_vertices();
   out->edges = out->graph.num_edges();
+  return Status::OK();
 }
 
 void FixIndex::SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
@@ -267,92 +243,63 @@ void FixIndex::SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
 }
 
 Status FixIndex::IndexDocuments(uint32_t begin, uint32_t end,
-                                ThreadPool* pool, FeatureCache* cache,
-                                BuildStats* stats,
+                                FeatureCache* cache, BuildStats* stats,
                                 std::vector<std::string>* keys) {
-  const size_t window =
-      pool != nullptr ? pool->num_threads() * 8 : static_cast<size_t>(1);
-  for (uint32_t first = begin; first < end;
-       first += static_cast<uint32_t>(window)) {
-    const uint32_t last = static_cast<uint32_t>(
-        std::min<uint64_t>(end, static_cast<uint64_t>(first) + window));
-    std::vector<DocWork> works(last - first);
+  for (uint32_t doc_id = begin; doc_id < end; ++doc_id) {
+    // Stage A: parse, bisimulate, prepare distinct patterns.
+    DocWork w;
+    FIX_RETURN_IF_ERROR(PrepareDocument(doc_id, &w));
 
-    // Stage A (parallel): parse, bisimulate, prepare distinct patterns.
-    // Workers touch only read-only index state and their own DocWork.
-    ParallelFor(pool, works.size(), [&](size_t i) {
-      PrepareDocument(first + static_cast<uint32_t>(i), &works[i]);
-    });
-    for (const DocWork& w : works) FIX_RETURN_IF_ERROR(w.status);
-
-    // Stage B (sequential): intern edge weights in document/pattern order.
-    // The encoder must end up with exactly the single-threaded content —
-    // weight ids feed the matrices and the persisted meta — so interning
-    // covers every non-oversized distinct pattern, cache hit or not. The
-    // order is the same whether the documents arrive in one Build or one
-    // InsertDocument at a time, which is what makes their entries equal.
+    // Stage B: intern edge weights in pattern order, so the encoder's
+    // content — weight ids feed the matrices and the persisted meta — is
+    // the same whether the document arrives in a Build or an
+    // InsertDocument, which is what makes their entries equal. Interning
+    // covers every non-oversized distinct pattern, cache hit or not.
     {
       MutexLock lock(*encoder_mu_);
-      for (DocWork& w : works) {
-        for (PatternWork& p : w.patterns) {
-          if (p.oversized) continue;
-          InternPatternWeights(
-              p.pattern.has_value() ? *p.pattern : w.graph, &encoder_);
-        }
+      for (PatternWork& p : w.patterns) {
+        if (p.oversized) continue;
+        InternPatternWeights(p.pattern.has_value() ? *p.pattern : w.graph,
+                             &encoder_);
       }
     }
 
-    // Stage C (parallel): feature-cache lookup or frozen eigensolve.
-    std::vector<std::pair<const BisimGraph*, PatternWork*>> flat;
-    for (DocWork& w : works) {
-      for (PatternWork& p : w.patterns) flat.emplace_back(&w.graph, &p);
-    }
-    ParallelFor(pool, flat.size(), [&](size_t i) {
-      SolvePattern(*flat[i].first, flat[i].second, cache);
-    });
+    // Stage C: feature-cache lookup or frozen eigensolve.
+    for (PatternWork& p : w.patterns) SolvePattern(w.graph, &p, cache);
 
-    // Stage D (sequential): stats, per-vertex feature memo, and one key
-    // per closing element.
-    for (DocWork& w : works) {
-      if (w.empty) continue;
-      if (stats != nullptr) {
-        stats->max_document_depth =
-            std::max(stats->max_document_depth, w.depth);
-        stats->bisim_vertices += w.vertices;
-        stats->bisim_edges += w.edges;
-        stats->distinct_patterns += w.patterns.size();
-        for (const PatternWork& p : w.patterns) {
-          if (p.oversized || p.solver_failed) ++stats->oversized_patterns;
-        }
-      }
+    // Stage D: stats, per-vertex feature memo, and one key per closing
+    // element.
+    if (stats != nullptr) {
+      stats->max_document_depth = std::max(stats->max_document_depth, w.depth);
+      stats->bisim_vertices += w.vertices;
+      stats->bisim_edges += w.edges;
+      stats->distinct_patterns += w.patterns.size();
       for (const PatternWork& p : w.patterns) {
-        w.graph.vertex(p.vertex).eigs = p.eigs;
+        if (p.oversized || p.solver_failed) ++stats->oversized_patterns;
       }
-      for (const CloseEvent& c : w.closes) {
-        const BisimVertex& v = w.graph.vertex(c.vertex);
-        keys->push_back(EncodeFeatureKey(MakeKey(v.label, *v.eigs, c.ref)));
-      }
+    }
+    for (const PatternWork& p : w.patterns) {
+      w.graph.vertex(p.vertex).eigs = p.eigs;
+    }
+    for (const CloseEvent& c : w.closes) {
+      const BisimVertex& v = w.graph.vertex(c.vertex);
+      keys->push_back(EncodeFeatureKey(MakeKey(v.label, *v.eigs, c.ref)));
     }
   }
   return Status::OK();
 }
 
 Status FixIndex::BuildPipeline(BuildStats* stats) {
-  const uint32_t threads = ResolveBuildThreads(options_.build_threads);
-  if (stats != nullptr) stats->build_threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   FeatureCache cache(static_cast<size_t>(options_.feature_cache_mb) * 1024 *
                      1024);
   FeatureCache* cache_ptr =
       options_.feature_cache_mb > 0 ? &cache : nullptr;
 
   std::vector<std::string> keys;
-  FIX_RETURN_IF_ERROR(IndexDocuments(0, corpus_->num_docs(), pool.get(),
-                                     cache_ptr, stats, &keys));
+  FIX_RETURN_IF_ERROR(
+      IndexDocuments(0, corpus_->num_docs(), cache_ptr, stats, &keys));
 
-  // Merge: one global sort of the (unique) encoded keys — which makes the
-  // result independent of build_threads — then clustered copies in key
+  // One sort of the (unique) encoded keys, then clustered copies in key
   // order, then the packed load.
   std::sort(keys.begin(), keys.end());
   std::vector<std::pair<std::string, std::string>> kv;
@@ -382,10 +329,8 @@ Status FixIndex::BuildPipeline(BuildStats* stats) {
   return Status::OK();
 }
 
-Status FixIndex::CommitBatch(
-    const std::vector<std::string>& inserts,
-    const std::vector<std::pair<std::string, std::string>>& deletes,
-    uint32_t new_indexed_docs) {
+Status FixIndex::CommitBatch(const std::vector<std::string>& inserts,
+                             uint32_t new_indexed_docs) {
   if (wal_.failed()) {
     // Fail-stop: a previous commit's append or fsync failed, and its record
     // may or may not be durable. Until a reopen replays the log, no new
@@ -401,9 +346,6 @@ Status FixIndex::CommitBatch(
   Status staged = [&]() -> Status {
     for (const std::string& key : inserts) {
       FIX_RETURN_IF_ERROR(btree_->Insert(key, std::string_view()));
-    }
-    for (const auto& [key, value] : deletes) {
-      FIX_RETURN_IF_ERROR(btree_->Delete(key, value));
     }
     WalCommit commit;
     FIX_ASSIGN_OR_RETURN(commit, btree_->PrepareCommit());
@@ -446,11 +388,11 @@ Status FixIndex::InsertDocument(uint32_t doc_id, BuildStats* stats) {
     return Status::InvalidArgument("doc_id not in corpus");
   }
   histogram_.reset();  // estimates must see the new entries
-  // The same pipeline Build runs, over this one document, inline: no pool,
-  // so a write spawns no threads, and no feature cache.
+  // The same pipeline Build runs, over this one document, with no
+  // feature cache.
   std::vector<std::string> keys;
   FIX_RETURN_IF_ERROR(
-      IndexDocuments(doc_id, doc_id + 1, nullptr, nullptr, stats, &keys));
+      IndexDocuments(doc_id, doc_id + 1, nullptr, stats, &keys));
   // Coverage extends atomically with the entries: the WAL commit carries
   // the new count, so recovery can never adopt the entries without it (or
   // vice versa).
@@ -458,27 +400,7 @@ Status FixIndex::InsertDocument(uint32_t doc_id, BuildStats* stats) {
   if (new_docs != kIndexedDocsUnknown) {
     new_docs = std::max(new_docs, doc_id + 1);
   }
-  return CommitBatch(keys, {}, new_docs);
-}
-
-Status FixIndex::RemoveDocument(uint32_t doc_id) {
-  // Collect the victim entries with one ordered scan, then delete them in
-  // one COW batch. Lazy B+-tree deletion never merges pages, which matches
-  // the paper's read-heavy usage profile.
-  std::vector<std::pair<std::string, std::string>> victims;
-  {
-    BTree::Iterator it;
-    FIX_ASSIGN_OR_RETURN(it, btree_->SeekFirst());
-    while (it.Valid()) {
-      if (DecodeFeatureKey(it.key()).ref.doc_id == doc_id) {
-        victims.emplace_back(std::string(it.key()), std::string(it.value()));
-      }
-      FIX_RETURN_IF_ERROR(it.Next());
-    }
-  }
-  histogram_.reset();
-  if (victims.empty()) return Status::OK();
-  return CommitBatch({}, victims, indexed_docs_);
+  return CommitBatch(keys, new_docs);
 }
 
 Result<uint64_t> FixIndex::EstimateCandidates(const TwigQuery& query) {

@@ -10,8 +10,11 @@
 // names the element in primary storage. Clustered entries store the offset
 // of a subtree copy, and the copies are laid out in key order. Build and
 // InsertDocument turn documents into entries through one pipeline
-// (IndexDocuments), so an inserted document gets exactly the entries a
-// bulk build over the same corpus gives it.
+// (IndexDocuments), one document at a time on the calling thread, so an
+// inserted document gets exactly the entries a bulk build over the same
+// corpus gives it. The index is insert-only: every key ends in the
+// element's (doc, node) and is unique, so nothing is ever removed and a
+// document indexed twice is refused.
 //
 // Lookup (Algorithm 2): the query's twig pattern gets the same treatment;
 // every indexed entry whose root label matches and whose eigenvalue range
@@ -31,7 +34,6 @@
 #include "common/thread_annotations.h"
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/corpus.h"
 #include "core/feature.h"
 #include "core/histogram.h"
@@ -55,18 +57,16 @@ namespace fix {
 /// built or opened. Reads go through the lock-striped BufferPool and the
 /// B+-tree's snapshot contract (btree.h): every lookup pins the published
 /// generation and scans only its immutable pages, so a SINGLE writer
-/// (InsertDocument or RemoveDocument, never two at once) may run
-/// concurrently with any number of readers — commits are built
-/// copy-on-write and become visible atomically, and readers never stall on
-/// the writer. The one mutable piece shared by both sides, the edge-weight
-/// encoder, is serialized by an internal mutex (an unseen pair can never
-/// match indexed data, so interleaved interning cannot change any result
-/// set). Build and EstimateCandidates (which lazily builds the costing
+/// (InsertDocument, never two at once) may run concurrently with any
+/// number of readers — commits are built copy-on-write and become visible
+/// atomically, and readers never stall on the writer. The one mutable
+/// piece shared by both sides, the edge-weight encoder, is serialized by
+/// an internal mutex (an unseen pair can never match indexed data, so
+/// interleaved interning cannot change any result set). Build and EstimateCandidates (which lazily builds the costing
 /// histogram) remain writer-exclusive: they must not overlap with each
-/// other, with the single writer, or with reads. Build() parallelizes
-/// internally (per IndexOptions::build_threads) but returns a fully
-/// quiesced object; no worker threads outlive it. See docs/ARCHITECTURE.md,
-/// "Concurrent reads" and "Write path: COW generations + WAL".
+/// other, with the single writer, or with reads. Build runs on the
+/// calling thread. See docs/ARCHITECTURE.md, "Concurrent reads" and "Write
+/// path: COW generations + WAL".
 ///
 /// Observability: construction records fix.build.* and lookup records
 /// fix.index.probe* in the process-wide MetricsRegistry, and both emit
@@ -176,7 +176,7 @@ class FixIndex {
   /// Estimates the candidate count of a query without touching candidates,
   /// via per-label equi-depth histograms over λ_max (Section 5's costing
   /// aid). The histogram is built lazily on first use and invalidated by
-  /// InsertDocument/RemoveDocument.
+  /// InsertDocument.
   ///
   /// @return the estimate (0 for uncovered queries), or Corruption/IOError
   ///         if the lazy histogram build's tree scan fails.
@@ -201,22 +201,13 @@ class FixIndex {
   ///       and the sidecar carry the new generation (indexed_docs advances)
   ///       and the WAL is reset.
   /// @return OK, NotSupported for clustered indexes, InvalidArgument for a
-  ///         doc_id outside the corpus, or the first storage/solver error.
+  ///         doc_id outside the corpus or for a document already indexed
+  ///         (its keys are in the tree; the batch aborts and the generation
+  ///         does not move), or the first storage/solver error.
   ///         A WAL append/fsync failure aborts the whole batch (fail-stop:
   ///         an unsynced commit is never acked) and surfaces as IOError so
   ///         Database routes the index into quarantine.
   [[nodiscard]] Status InsertDocument(uint32_t doc_id, BuildStats* stats = nullptr);
-
-  /// Deletes every index entry pointing into `doc_id` (linear scan of the
-  /// tree + lazy B+-tree deletes). The document itself stays in the
-  /// corpus; callers track liveness. Runs through the same COW batch + WAL
-  /// commit protocol as InsertDocument (same atomicity and concurrency
-  /// contract).
-  ///
-  /// @post the candidate-estimate histogram is invalidated.
-  /// @return OK (removing an unindexed document is a no-op), or the first
-  ///         scan/delete/commit error.
-  [[nodiscard]] Status RemoveDocument(uint32_t doc_id);
 
   /// Integrity audit of the on-disk index: full B+-tree structural walk
   /// (every page read passes through the checksum layer on the way).
@@ -277,36 +268,30 @@ class FixIndex {
     int depth = 0;
     size_t vertices = 0;
     size_t edges = 0;
-    bool empty = false;  ///< document has no root element
-    Status status;       ///< deferred error from the parallel stage
   };
 
   /// The one way documents become index entries: runs the pipeline stages
-  /// A–D (prepare, intern, solve, emit) over documents [begin, end) in
-  /// windows, appending one encoded key per indexed element to `keys`.
-  /// `pool` (parallel stages A and C) and `cache` may be null. Stage B and
-  /// stage C's matrix build hold encoder_mu_, because readers intern query
-  /// pairs while an insert runs.
+  /// A–D (prepare, intern, solve, emit) over each document of [begin, end)
+  /// in order, appending one encoded key per indexed element to `keys`.
+  /// `cache` may be null. Stage B and stage C's matrix build hold
+  /// encoder_mu_, because readers intern query pairs while an insert runs.
   [[nodiscard]] Status IndexDocuments(uint32_t begin, uint32_t end,
-                                      ThreadPool* pool, FeatureCache* cache,
-                                      BuildStats* stats,
+                                      FeatureCache* cache, BuildStats* stats,
                                       std::vector<std::string>* keys);
 
-  /// Build's half: IndexDocuments over the whole corpus with a pool and a
-  /// feature cache, then one sort and a bulk load of the B+-tree (and, for
+  /// Build's half: IndexDocuments over the whole corpus with a feature
+  /// cache, then one sort and a bulk load of the B+-tree (and, for
   /// clustered indexes, the copy store).
   [[nodiscard]] Status BuildPipeline(BuildStats* stats);
 
-  /// Pipeline stage A, parallel per document: parse, bisimulate, collect
-  /// close events, and prepare each distinct pattern (expansion bound,
-  /// depth-limited pattern graph, canonical signature). Touches only
-  /// read-only index state and `out`.
-  void PrepareDocument(uint32_t doc_id, DocWork* out) const;
+  /// Pipeline stage A: parse, bisimulate, collect close events, and
+  /// prepare each distinct pattern (expansion bound, depth-limited pattern
+  /// graph, canonical signature).
+  [[nodiscard]] Status PrepareDocument(uint32_t doc_id, DocWork* out) const;
 
-  /// Pipeline stage C, parallel per pattern: feature-cache lookup, or a
-  /// skew-matrix eigensolve against the frozen edge encoder on a miss (the
-  /// matrix is built under encoder_mu_). Touches only read-only index
-  /// state, `work`, and the sharded cache.
+  /// Pipeline stage C: feature-cache lookup, or a skew-matrix eigensolve
+  /// against the frozen edge encoder on a miss (the matrix is built under
+  /// encoder_mu_).
   void SolvePattern(const BisimGraph& doc_graph, PatternWork* work,
                     FeatureCache* cache) const;
 
@@ -316,16 +301,14 @@ class FixIndex {
   /// All entries carrying `label` (the wildcard degradation path).
   [[nodiscard]] Result<LookupResult> LabelOnlyScan(LabelId label);
 
-  /// The single write path: applies `inserts` then `deletes` inside one COW
-  /// batch and drives the commit protocol — PrepareCommit (flush + data
-  /// fsync), WAL append (fsync'd; failure aborts the batch), publish,
-  /// checkpoint, meta rewrite, WAL reset. On success indexed_docs_ is
-  /// `new_indexed_docs`. Inserted keys carry no value: only unclustered
-  /// indexes take inserts.
-  [[nodiscard]] Status CommitBatch(
-      const std::vector<std::string>& inserts,
-      const std::vector<std::pair<std::string, std::string>>& deletes,
-      uint32_t new_indexed_docs);
+  /// The single write path: applies `inserts` inside one COW batch and
+  /// drives the commit protocol — PrepareCommit (flush + data fsync), WAL
+  /// append (fsync'd; failure aborts the batch), publish, checkpoint, meta
+  /// rewrite, WAL reset. A key already in the tree aborts the batch with
+  /// InvalidArgument. On success indexed_docs_ is `new_indexed_docs`.
+  /// Inserted keys carry no value: only unclustered indexes take inserts.
+  [[nodiscard]] Status CommitBatch(const std::vector<std::string>& inserts,
+                                   uint32_t new_indexed_docs);
 
   /// The B+-tree probe body (range scan + per-row filters) for an already
   /// solved query feature key.

@@ -62,16 +62,6 @@ struct IndexOptions {
   /// Buffer-pool frames for the index B+-tree.
   size_t buffer_pool_pages = 4096;
 
-  /// Worker threads for Build's construction pipeline. 1 (the default)
-  /// runs the pipeline inline on the calling thread with no pool and no
-  /// locking; 0 means "use the hardware concurrency"; values are clamped
-  /// to [1, 64]. The built index is byte-identical regardless of this
-  /// setting (parallel stages only compute; all ordering-sensitive work —
-  /// edge-weight interning, sequence numbering, storage writes — stays
-  /// sequential). Construction-time only; not persisted in the meta
-  /// sidecar.
-  uint32_t build_threads = 1;
-
   /// Byte budget (in MiB) of the spectral feature cache that memoizes
   /// EigPair results across structurally identical patterns during Build.
   /// 0 disables the cache. Cache behavior never changes the built index,
@@ -113,9 +103,6 @@ struct BuildStats {
   uint64_t feature_cache_hits = 0;
   uint64_t feature_cache_misses = 0;
   uint64_t feature_cache_evictions = 0;
-  /// Worker threads the pipeline actually ran with (after resolving
-  /// build_threads = 0 and clamping).
-  uint32_t build_threads_used = 0;
 };
 
 }  // namespace fix

@@ -448,8 +448,6 @@ Status ShardedDatabase::BuildIndexes(const std::string& name,
       sum.feature_cache_hits += b.feature_cache_hits;
       sum.feature_cache_misses += b.feature_cache_misses;
       sum.feature_cache_evictions += b.feature_cache_evictions;
-      sum.build_threads_used =
-          std::max(sum.build_threads_used, b.build_threads_used);
     }
     *stats = sum;
   }

@@ -1,15 +1,14 @@
 #include "spectral/feature_cache.h"
 
-#include <functional>
-
 #include "common/bytes.h"
+#include "common/check.h"
 #include "common/metrics_registry.h"
 
 namespace fix {
 
 namespace {
 
-// Process-wide mirrors of the per-cache shard counters (Stats() keeps the
+// Process-wide mirrors of the per-cache counters (Stats() keeps the
 // per-instance view used by BuildStats).
 Counter& CacheHits() {
   static Counter* c = MetricsRegistry::Instance().FindOrCreateCounter(
@@ -48,12 +47,7 @@ std::string CanonicalPatternSignature(const BisimGraph& graph) {
   return sig;
 }
 
-FeatureCache::FeatureCache(size_t budget_bytes)
-    : shard_budget_(budget_bytes / kNumShards) {}
-
-FeatureCache::Shard& FeatureCache::ShardFor(std::string_view key) {
-  return shards_[std::hash<std::string_view>{}(key) % kNumShards];
-}
+FeatureCache::FeatureCache(size_t budget_bytes) : budget_(budget_bytes) {}
 
 size_t FeatureCache::EntryBytes(std::string_view key) {
   // Key bytes + list node + hash-map slot, approximately.
@@ -61,15 +55,13 @@ size_t FeatureCache::EntryBytes(std::string_view key) {
 }
 
 bool FeatureCache::Lookup(std::string_view key, CachedFeature* out) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     CacheMisses().Increment();
     return false;
   }
-  ++shard.hits;
+  ++stats_.hits;
   CacheHits().Increment();
   *out = it->second->value;
   return true;
@@ -77,33 +69,19 @@ bool FeatureCache::Lookup(std::string_view key, CachedFeature* out) {
 
 void FeatureCache::Insert(std::string_view key, const CachedFeature& value) {
   const size_t cost = EntryBytes(key);
-  if (cost > shard_budget_) return;  // would evict the whole shard for one key
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  if (shard.index.count(key) > 0) return;  // lost a benign insert race
-  shard.entries.push_front(Entry{std::string(key), value});
-  shard.index.emplace(std::string_view(shard.entries.front().key),
-                      shard.entries.begin());
-  shard.bytes += cost;
-  while (shard.bytes > shard_budget_ && !shard.entries.empty()) {
-    const Entry& oldest = shard.entries.back();
-    shard.bytes -= EntryBytes(oldest.key);
-    shard.index.erase(std::string_view(oldest.key));
-    shard.entries.pop_back();
-    ++shard.evictions;
+  if (cost > budget_) return;  // would evict the whole cache for one key
+  FIX_DCHECK(index_.count(key) == 0);
+  entries_.push_front(Entry{std::string(key), value});
+  index_.emplace(std::string_view(entries_.front().key), entries_.begin());
+  bytes_ += cost;
+  while (bytes_ > budget_) {
+    const Entry& oldest = entries_.back();
+    bytes_ -= EntryBytes(oldest.key);
+    index_.erase(std::string_view(oldest.key));
+    entries_.pop_back();
+    ++stats_.evictions;
     CacheEvictions().Increment();
   }
-}
-
-FeatureCacheStats FeatureCache::Stats() const {
-  FeatureCacheStats out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
-  }
-  return out;
 }
 
 }  // namespace fix

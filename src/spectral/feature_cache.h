@@ -1,5 +1,5 @@
-// FeatureCache: a sharded, bounded memo of spectral features keyed by the
-// canonical signature of a pattern's bisimulation graph.
+// FeatureCache: a bounded memo of spectral features keyed by the canonical
+// signature of a pattern's bisimulation graph.
 //
 // Downward bisimulation makes structurally identical subtrees collapse to
 // identical pattern graphs, and the same depth-L patterns recur massively
@@ -7,25 +7,24 @@
 // in Section 4). Construction therefore memoizes (pattern shape) → EigPair
 // so only the first occurrence of a shape pays the O(n³) eigensolve.
 //
-// Soundness: the full serialized signature is the map key — the hash is used
-// only for shard selection — so a hash collision can never alias two
-// different shapes onto one cached result. The signature is canonical
-// because every pattern graph is produced by the deterministic
-// BisimTraveler → BisimBuilder round trip, which numbers vertices in
-// first-close order of a fixed traversal: isomorphic patterns serialize to
-// identical byte strings.
+// Soundness: the full serialized signature is the map key, so a hash
+// collision can never alias two different shapes onto one cached result.
+// The signature is canonical because both sources of pattern graphs number
+// vertices in first-close order of a fixed traversal: the builder's
+// document graph at depth 0, and the BisimTraveler → BisimBuilder round
+// trip of a depth-limited pattern otherwise. Isomorphic patterns therefore
+// serialize to identical byte strings.
 //
-// Concurrency: 16 shards, each behind its own mutex, so solver threads
-// rarely contend. Eviction is FIFO per shard under a per-shard byte budget.
-// Cache behavior never affects build output — a miss recomputes the same
-// bits a hit would have returned (the edge-weight encoding is frozen before
-// solving starts) — so eviction timing being thread-schedule-dependent is
-// harmless; only the hit/miss counters vary.
+// Not thread-safe: one Build owns one cache and runs on one thread, so
+// there is one map, one FIFO list and one byte budget. Evicting under that
+// budget never affects build output — a miss recomputes the same bits a hit
+// would have returned (the edge-weight encoding is frozen before solving) —
+// and with one thread the hit, miss and eviction counters are a function of
+// the corpus and the budget alone.
 
 #ifndef FIX_SPECTRAL_FEATURE_CACHE_H_
 #define FIX_SPECTRAL_FEATURE_CACHE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -33,8 +32,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "graph/bisim_graph.h"
 
 namespace fix {
@@ -63,7 +60,7 @@ struct FeatureCacheStats {
 class FeatureCache {
  public:
   /// `budget_bytes` bounds the total (approximate) memory of cached
-  /// entries across all shards.
+  /// entries.
   explicit FeatureCache(size_t budget_bytes);
 
   FeatureCache(const FeatureCache&) = delete;
@@ -72,40 +69,27 @@ class FeatureCache {
   /// Returns true and fills `*out` when `key` is cached.
   bool Lookup(std::string_view key, CachedFeature* out);
 
-  /// Inserts (key, value), evicting oldest entries of the target shard if
-  /// the shard exceeds its budget slice. Concurrent duplicate inserts (two
-  /// threads missing on the same key) keep the first value.
+  /// Inserts (key, value) for a key that just missed, evicting the oldest
+  /// entries while the cache exceeds its budget. An entry that alone costs
+  /// more than the budget is not cached.
   void Insert(std::string_view key, const CachedFeature& value);
 
-  /// Aggregated counters across shards.
-  FeatureCacheStats Stats() const;
+  FeatureCacheStats Stats() const { return stats_; }
 
  private:
   struct Entry {
     std::string key;
     CachedFeature value;
   };
-  struct Shard {
-    // LOCK-ORDER: 9 FeatureCache::Shard::mu
-    mutable Mutex mu;
-    // front = newest, evict from the back
-    std::list<Entry> entries FIX_GUARDED_BY(mu);
-    // Keys view into the owning list entry, so each key is stored once.
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index
-        FIX_GUARDED_BY(mu);
-    size_t bytes FIX_GUARDED_BY(mu) = 0;
-    uint64_t hits FIX_GUARDED_BY(mu) = 0;
-    uint64_t misses FIX_GUARDED_BY(mu) = 0;
-    uint64_t evictions FIX_GUARDED_BY(mu) = 0;
-  };
-
-  static constexpr size_t kNumShards = 16;
-
-  Shard& ShardFor(std::string_view key);
   static size_t EntryBytes(std::string_view key);
 
-  size_t shard_budget_;
-  std::array<Shard, kNumShards> shards_;
+  size_t budget_;
+  size_t bytes_ = 0;
+  // front = newest, evict from the back
+  std::list<Entry> entries_;
+  // Keys view into the owning list entry, so each key is stored once.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
+  FeatureCacheStats stats_;
 };
 
 }  // namespace fix

@@ -149,8 +149,7 @@ void BTree::DcheckNodeInvariants(const char* page) const {
   if (type == kLeaf) {
     FIX_DCHECK_LE(count, LeafCapacity());
     for (uint16_t i = 1; i < count; ++i) {
-      // Non-descending: duplicate keys are stored adjacent.
-      FIX_DCHECK_LE(
+      FIX_DCHECK_LT(
           std::memcmp(LeafEntry(page, i - 1), LeafEntry(page, i), key_size_),
           0);
     }
@@ -161,7 +160,7 @@ void BTree::DcheckNodeInvariants(const char* page) const {
     FIX_DCHECK_LE(count, InnerCapacity());
     FIX_DCHECK_NE(NodeLink(page), kInvalidPage);
     for (uint16_t i = 1; i < count; ++i) {
-      FIX_DCHECK_LE(
+      FIX_DCHECK_LT(
           std::memcmp(InnerEntry(page, i - 1), InnerEntry(page, i), key_size_),
           0);
     }
@@ -186,14 +185,12 @@ uint16_t BTree::LeafLowerBound(const char* page, std::string_view key) const {
 }
 
 uint16_t BTree::InnerChildIndex(const char* page, std::string_view key) const {
-  // lower_bound over separators: on equality we stay LEFT. With duplicate
-  // keys a run may span a split boundary, so descent lands at-or-before the
-  // first occurrence and the path-based leaf advance absorbs the slack (Seek
-  // and Get scan forward across leaves).
+  // upper_bound over separators: separator i is the smallest key of child
+  // i+1, so a key equal to it descends right.
   uint16_t lo = 0, hi = NodeCount(page);
   while (lo < hi) {
     uint16_t mid = (lo + hi) / 2;
-    if (CompareKey(InnerEntry(page, mid), key) < 0) {
+    if (CompareKey(InnerEntry(page, mid), key) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -339,9 +336,10 @@ Status BTree::BulkLoad(
                                      std::to_string(i));
     }
     if (i > 0 && std::memcmp(entries[i - 1].first.data(),
-                             entries[i].first.data(), key_size_) > 0) {
-      return Status::InvalidArgument("BulkLoad input not sorted at entry " +
-                                     std::to_string(i));
+                             entries[i].first.data(), key_size_) >= 0) {
+      return Status::InvalidArgument(
+          "BulkLoad input not strictly ascending at entry " +
+          std::to_string(i));
     }
   }
   if (entries.empty()) return WriteMeta();
@@ -466,17 +464,6 @@ Status BTree::NextLeaf(std::vector<PathFrame>* path, PageHandle* leaf) {
   return Status::OK();
 }
 
-Result<std::string> BTree::Get(std::string_view key) {
-  // Seek handles descent landing one leaf early (duplicate runs spanning a
-  // split boundary) by advancing to the next leaf.
-  Iterator it;
-  FIX_ASSIGN_OR_RETURN(it, Seek(key));
-  if (it.Valid() && it.key() == key) {
-    return std::string(it.value());
-  }
-  return Status::NotFound("key not in B+-tree");
-}
-
 Result<BTree::Iterator> BTree::Seek(std::string_view key) {
   if (key.size() != key_size_) {
     return Status::InvalidArgument("key size mismatch");
@@ -523,8 +510,8 @@ Status BTree::Iterator::Next() {
 }
 
 Status BTree::Iterator::SkipExhaustedLeaves() {
-  // The position may be past this leaf's last entry (or the leaf emptied by
-  // lazy deletion): move to the next leaf that holds one.
+  // A lower bound past this leaf's last key is the next leaf's first key;
+  // only an empty tree's root leaf holds none.
   while (index_ >= NodeCount(leaf_.data())) {
     FIX_RETURN_IF_ERROR(tree_->NextLeaf(&path_, &leaf_));
     if (!leaf_.valid()) {
@@ -719,6 +706,13 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
   std::vector<PathFrame> path;
   PageHandle leaf;
   FIX_ASSIGN_OR_RETURN(leaf, DescendPath(root_, key, &path));
+  // Upper-bound descent reaches the one leaf that could hold `key`. Refuse
+  // it before copying anything, so the batch stays as it was.
+  const uint16_t pos = LeafLowerBound(leaf.data(), key);
+  if (pos < NodeCount(leaf.data()) &&
+      CompareKey(LeafEntry(leaf.data(), pos), key) == 0) {
+    return Status::InvalidArgument("key already in B+-tree");
+  }
   FIX_RETURN_IF_ERROR(CowPath(&path, &leaf));
 
   // Every node on the path is now fresh: mutate in place, splitting upward
@@ -729,7 +723,6 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
   {
     char* page = leaf.data();
     uint16_t count = NodeCount(page);
-    uint16_t pos = LeafLowerBound(page, key);
     if (count < LeafCapacity()) {
       char* slot = LeafEntry(page, pos);
       std::memmove(slot + LeafEntrySize(), slot,
@@ -755,9 +748,9 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
                   right_count * LeafEntrySize());
       SetNodeCount(rpage, right_count);
       SetNodeCount(page, mid);
-      // Insert into whichever half owns position `pos`. Inserting at pos ==
-      // mid (end of left) is order-correct even when key equals the
-      // separator, because inner navigation stays left on equality.
+      // Insert into whichever half owns position `pos`. At pos == mid the
+      // key sorts below the right half's first key, the new separator, so
+      // it ends the left half.
       char* target;
       if (pos <= mid) {
         uint16_t c = NodeCount(page);
@@ -858,43 +851,6 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
   return Status::OK();
 }
 
-Status BTree::Delete(std::string_view key, std::string_view value) {
-  if (key.size() != key_size_ || value.size() != value_size_) {
-    return Status::InvalidArgument("key/value size mismatch");
-  }
-  if (!state_->in_batch) return Status::InvalidArgument("no COW batch open");
-  // Locate lazily (no copying) and only COW the path once the entry to
-  // remove is found; a miss leaves the working generation untouched.
-  std::vector<PathFrame> path;
-  PageHandle leaf;
-  FIX_ASSIGN_OR_RETURN(leaf, DescendPath(root_, key, &path));
-  while (leaf.valid()) {
-    const char* page = leaf.data();
-    const uint16_t count = NodeCount(page);
-    for (uint16_t i = LeafLowerBound(page, key); i < count; ++i) {
-      if (CompareKey(LeafEntry(page, i), key) > 0) {
-        return Status::NotFound("entry not in B+-tree");
-      }
-      if (value_size_ > 0 && std::memcmp(LeafEntry(page, i) + key_size_,
-                                         value.data(), value_size_) != 0) {
-        continue;
-      }
-      FIX_RETURN_IF_ERROR(CowPath(&path, &leaf));
-      char* slot = LeafEntry(leaf.data(), i);
-      std::memmove(slot, slot + LeafEntrySize(),
-                   (count - i - 1) * LeafEntrySize());
-      SetNodeCount(leaf.data(), count - 1);
-      leaf.MarkDirty();
-      DcheckNodeInvariants(leaf.data());
-      --num_entries_;
-      return Status::OK();
-    }
-    // The duplicate run continues in the next leaf.
-    FIX_RETURN_IF_ERROR(NextLeaf(&path, &leaf));
-  }
-  return Status::NotFound("entry not in B+-tree");
-}
-
 // --- structural verification ------------------------------------------------
 
 Status BTree::VerifyNode(PageId id, uint32_t depth,
@@ -921,16 +877,22 @@ Status BTree::VerifyNode(PageId id, uint32_t depth,
                                 " at depth " + std::to_string(depth) +
                                 ", expected " + std::to_string(height_));
     }
-    // count == 0 is legal (lazy deletion can empty a leaf).
     if (count > LeafCapacity()) {
       return Status::Corruption("leaf page " + std::to_string(id) +
                                 " count exceeds capacity");
     }
+    // Nothing removes entries, so only an empty tree's root leaf is empty.
+    if (count == 0 && height_ != 1) {
+      return Status::Corruption("empty non-root leaf page " +
+                                std::to_string(id));
+    }
     for (uint16_t i = 1; i < count; ++i) {
-      if (std::memcmp(LeafEntry(page, i - 1), LeafEntry(page, i), key_size_) >
-          0) {
-        return Status::Corruption("keys out of order in leaf page " +
-                                  std::to_string(id));
+      const int order =
+          std::memcmp(LeafEntry(page, i - 1), LeafEntry(page, i), key_size_);
+      if (order >= 0) {
+        return Status::Corruption(
+            std::string(order > 0 ? "keys out of order" : "repeated key") +
+            " in leaf page " + std::to_string(id));
       }
     }
     leaves->push_back(id);
@@ -950,10 +912,13 @@ Status BTree::VerifyNode(PageId id, uint32_t depth,
                               " separator count out of range");
   }
   for (uint16_t i = 1; i < count; ++i) {
-    if (std::memcmp(InnerEntry(page, i - 1), InnerEntry(page, i), key_size_) >
-        0) {
-      return Status::Corruption("separators out of order in inner page " +
-                                std::to_string(id));
+    const int order =
+        std::memcmp(InnerEntry(page, i - 1), InnerEntry(page, i), key_size_);
+    if (order >= 0) {
+      return Status::Corruption(
+          std::string(order > 0 ? "separators out of order"
+                                : "repeated separator") +
+          " in inner page " + std::to_string(id));
     }
   }
   // Copy the child list out, then unpin before recursing: the walk must not
@@ -980,8 +945,8 @@ Status BTree::VerifyAndCollect(std::unordered_set<PageId>* reachable) {
   std::vector<PageId> leaves;
   FIX_RETURN_IF_ERROR(VerifyNode(root_, 1, reachable, &leaves));
 
-  // Keys must be non-descending across the leaves in discovery (key) order,
-  // and the entries they hold must add up to the meta count.
+  // Keys must be strictly ascending across the leaves in discovery (key)
+  // order, and the entries they hold must add up to the meta count.
   uint64_t total_entries = 0;
   std::string prev_key;
   bool have_prev = false;
@@ -993,9 +958,12 @@ Status BTree::VerifyAndCollect(std::unordered_set<PageId>* reachable) {
     total_entries += count;
     for (uint16_t j = 0; j < count; ++j) {
       const char* key = LeafEntry(page, j);
-      if (have_prev && std::memcmp(prev_key.data(), key, key_size_) > 0) {
-        return Status::Corruption("keys out of order across leaves at page " +
-                                  std::to_string(id));
+      const int order =
+          have_prev ? std::memcmp(prev_key.data(), key, key_size_) : -1;
+      if (order >= 0) {
+        return Status::Corruption(
+            std::string(order > 0 ? "keys out of order" : "repeated key") +
+            " across leaves at page " + std::to_string(id));
       }
       prev_key.assign(key, key_size_);
       have_prev = true;

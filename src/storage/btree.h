@@ -4,7 +4,9 @@
 // with ordered range scans.
 //
 // Keys are compared with memcmp; callers encode them order-preservingly
-// (see core/key_codec.h). Duplicate keys are permitted and stored adjacent.
+// (see core/key_codec.h). Keys are unique: Insert refuses a key already in
+// the tree and BulkLoad refuses a repeated one, and the structural audit
+// treats a repeated key as corruption.
 //
 // On-disk layout:
 //   page 0          meta: magic, key/value size, root, height, entry count,
@@ -18,7 +20,9 @@
 //     [8]  entries — leaf: count * (key, value)
 //                    inner: count * (separator key, right child id)
 //   An inner node with count separators has count+1 children; separator i
-//   is the smallest key in child i+1's subtree.
+//   is the smallest key in child i+1's subtree. Descent takes the upper
+//   bound: the child right of the last separator <= key, so a key equal to
+//   a separator descends right, where it lives.
 //
 // Leaves are not chained. Iteration keeps the root-to-leaf path and steps
 // to the next leaf through it (NextLeaf), the way a shadowing B-tree must
@@ -26,11 +30,12 @@
 // would rename with every copied leaf and drag its left neighbour into the
 // copy, and that neighbour's left neighbour, and so on.
 //
-// Deletion removes the leaf entry without rebalancing (lazy deletion), which
-// is sufficient for this workload: FIX indexes are bulk-built and read-heavy.
+// The tree is insert-only: no entry is ever removed, so a leaf is empty
+// only as the root of an empty tree. FIX indexes are bulk-built, grow by
+// inserted documents, and are read-heavy.
 //
 // Write paths: BulkLoad builds a fresh tree in one pass; after that every
-// change goes through a COW batch (BeginBatch .. Insert/Delete ..
+// change goes through a COW batch (BeginBatch .. Insert ..
 // PrepareCommit / FinalizeCommit, or AbortBatch). The writer builds
 // generation N+1 out of place: the root-to-leaf path of each touched leaf
 // is copied into freshly allocated pages, and every other subtree is shared
@@ -40,7 +45,7 @@
 // reused only after the last reader of every older generation unpins AND
 // the page is not referenced by the durable on-disk root.
 //
-// Thread-safety — snapshot contract: Get/Seek/SeekFirst and iterator Next
+// Thread-safety — snapshot contract: Seek/SeekFirst and iterator Next
 // may be called from any number of threads concurrently, and remain safe
 // while a single COW-batch writer is active: each read pins the published
 // generation snapshot (a shared_ptr handle) and only ever touches that
@@ -134,12 +139,14 @@ class BTree {
   /// @pre key/value sizes match the tree's configuration; a batch is open.
   /// @post the batch's entry count grows by one; splits may add pages but
   ///       never move existing entries to earlier keys.
-  /// @return OK, InvalidArgument on a size mismatch or outside a batch
-  ///         ("no COW batch open"), or a page I/O error.
+  /// @return OK, InvalidArgument on a size mismatch, outside a batch
+  ///         ("no COW batch open") or for a key already in the tree ("key
+  ///         already in B+-tree"; nothing is copied, so the batch stays as
+  ///         it was and can still commit or abort), or a page I/O error.
   [[nodiscard]] Status Insert(std::string_view key, std::string_view value);
 
-  /// Bulk-loads `entries` — which must be sorted by key, non-descending
-  /// (duplicates allowed) — into a freshly created, still-empty tree,
+  /// Bulk-loads `entries` — which must be sorted by key, strictly
+  /// ascending — into a freshly created, still-empty tree,
   /// building 100%-packed leaves left to right and the inner levels bottom
   /// up. One sequential pass instead of n random root-to-leaf descents:
   /// every page is written exactly once and leaves carry no split slack.
@@ -147,28 +154,14 @@ class BTree {
   ///
   /// @pre the tree is freshly created and empty; `entries` is sorted.
   /// @return OK, InvalidArgument if the tree is not empty, the input is
-  ///         not sorted, or any key/value has the wrong size; else I/O
-  ///         errors from page writes.
+  ///         not strictly ascending, or any key/value has the wrong size;
+  ///         else I/O errors from page writes.
   [[nodiscard]] Status BulkLoad(
       const std::vector<std::pair<std::string, std::string>>& entries);
 
-  /// Looks up the first entry with exactly `key`.
-  ///
-  /// @return the value, NotFound if absent, or Corruption/IOError from the
-  ///         descent's page reads.
-  [[nodiscard]] Result<std::string> Get(std::string_view key);
-
-  /// Removes the first entry equal to (key, value) in the open COW batch.
-  /// Lazy: pages are never merged. Only the path to the leaf that holds the
-  /// entry is copied; a miss copies nothing.
-  ///
-  /// @return OK, NotFound if no such pair exists, InvalidArgument on a size
-  ///         mismatch or outside a batch, or a page I/O error.
-  [[nodiscard]] Status Delete(std::string_view key, std::string_view value);
-
   // --- COW batch (generation N -> N+1) --------------------------------------
 
-  /// Starts building generation N+1. Insert/Delete are accepted until
+  /// Starts building generation N+1. Inserts are accepted until
   /// PrepareCommit/AbortBatch; readers keep serving generation N.
   [[nodiscard]] Status BeginBatch();
 
@@ -259,9 +252,10 @@ class BTree {
 
   /// Full structural audit, independent of page checksums: walks every node
   /// from the root checking node types, depths (all leaves at height_),
-  /// fanout bounds, separator/key ordering, child-id ranges, cycles, global
-  /// key order across the leaves, and that the leaf entry total matches the
-  /// meta entry count. Returns kCorruption with a
+  /// fanout bounds, empty leaves (legal only as the root of an empty tree),
+  /// strictly ascending separators and keys, child-id ranges, cycles,
+  /// strictly ascending keys across the leaves, and that the leaf entry
+  /// total matches the meta entry count. Returns kCorruption with a
   /// description of the first violation. Catches damage that per-page CRCs
   /// cannot — pages that are internally consistent but mutually inconsistent
   /// (e.g. a crash that persisted only some dirty pages).
@@ -329,9 +323,9 @@ class BTree {
   int CompareKey(const char* a, std::string_view b) const;
 
   /// Debug-build structural validation of one node: plausible type, count
-  /// within fanout capacity, keys/separators in non-descending order, and a
+  /// within fanout capacity, keys/separators strictly ascending, and a
   /// live child-0 link for inner nodes. Called after every mutation that
-  /// restructures a node (insert, split, delete). Compiles to nothing
+  /// restructures a node (bulk load, insert, split). Compiles to nothing
   /// unless FIX_ENABLE_DCHECKS is defined.
 #if FIX_DCHECKS_ENABLED
   void DcheckNodeInvariants(const char* page) const;
@@ -341,7 +335,8 @@ class BTree {
 
   /// First leaf index with entry key >= key (lower bound).
   uint16_t LeafLowerBound(const char* page, std::string_view key) const;
-  /// Child index to descend into for `key`.
+  /// Child index to descend into for `key` (upper bound: the number of
+  /// separators <= key).
   uint16_t InnerChildIndex(const char* page, std::string_view key) const;
 
   [[nodiscard]] Status WriteMeta();
@@ -360,8 +355,7 @@ class BTree {
                                                std::vector<PathFrame>* path);
 
   /// Steps `*leaf` to the next leaf in key order through `path` (its inner
-  /// levels, updated in place); `*leaf` is released past the last leaf. The
-  /// one leaf advance shared by iterators and Delete.
+  /// levels, updated in place); `*leaf` is released past the last leaf.
   [[nodiscard]] Status NextLeaf(std::vector<PathFrame>* path,
                                 PageHandle* leaf);
 

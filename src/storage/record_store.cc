@@ -106,18 +106,6 @@ Result<std::string> RecordStore::Read(RecordId id) const {
   return payload;
 }
 
-Status RecordStore::Touch(RecordId id) const {
-  if (fd_ < 0) return Status::InvalidArgument("RecordStore not open");
-  char header[8];
-  FIX_RETURN_IF_ERROR(
-      PReadFull(fd_, id.offset, header, sizeof(header), path_));
-  if (DecodeFixed32(header) != kRecordMagic) {
-    return Status::Corruption("bad record magic in " + path_);
-  }
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status RecordStore::Sync() {
   if (fd_ < 0) return Status::InvalidArgument("RecordStore not open");
   if (::fsync(fd_) != 0) return Status::IOError(Errno("fsync", path_));

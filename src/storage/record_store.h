@@ -9,7 +9,7 @@
 //
 // Record framing: [magic u32][len u32][payload]. Offsets act as record ids.
 //
-// Thread-safety: Read/Touch are safe from any number of threads (positioned
+// Thread-safety: Read is safe from any number of threads (positioned
 // pread, atomic read counter). Append/Sync/Open/Close are writer-exclusive.
 
 #ifndef FIX_STORAGE_RECORD_STORE_H_
@@ -50,18 +50,13 @@ class RecordStore {
   /// Reads the record at `id`.
   [[nodiscard]] Result<std::string> Read(RecordId id) const;
 
-  /// Validates the record header at `id` without fetching the payload —
-  /// one random I/O, used to charge pointer dereferences during
-  /// unclustered-index refinement.
-  [[nodiscard]] Status Touch(RecordId id) const;
-
   [[nodiscard]] Status Sync();
 
   uint64_t size_bytes() const { return end_offset_; }
   uint64_t num_records() const { return num_records_; }
 
   /// Read counter, the harnesses' refinement-I/O metric. Relaxed atomic so
-  /// concurrent Read/Touch calls don't race on the bookkeeping.
+  /// concurrent Read calls don't race on the bookkeeping.
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   void ResetCounters() { reads_.store(0, std::memory_order_relaxed); }
 

@@ -439,7 +439,6 @@ TEST_F(FaultInjectionTest, RecordStoreDetectsBitRot) {
     RecordStore store;
     ASSERT_TRUE(store.Open(path, false).ok());
     EXPECT_TRUE(store.Read(id).status().IsCorruption());
-    EXPECT_TRUE(store.Touch(id).IsCorruption());
     ASSERT_TRUE(store.Close().ok());
   }
   // Restore the magic, blow up the length field instead.
@@ -536,6 +535,30 @@ class BTreeAuditTest : public FaultInjectionTest {
     EXPECT_NE(report->violations[0].find(needle), std::string::npos)
         << report->violations[0];
   }
+
+  /// BTree::VerifyStructure on the file, opened as a tree.
+  Status VerifyTree(const std::string& path) {
+    PageFile file;
+    Status opened = file.Open(path, false);
+    if (!opened.ok()) return opened;
+    Status verified;
+    {
+      BufferPool pool(&file, 64);
+      auto tree = BTree::Open(&pool);
+      verified = tree.ok() ? tree->VerifyStructure() : tree.status();
+    }
+    EXPECT_TRUE(file.Close().ok());
+    return verified;
+  }
+
+  /// Both audits flag the file as Corruption naming `needle`.
+  void ExpectCorruption(const std::string& path, const std::string& needle) {
+    ExpectAuditViolation(path, needle);
+    Status verified = VerifyTree(path);
+    EXPECT_TRUE(verified.IsCorruption()) << verified;
+    EXPECT_NE(verified.ToString().find(needle), std::string::npos)
+        << verified;
+  }
 };
 
 TEST_F(BTreeAuditTest, CleanTreePassesScrub) {
@@ -596,6 +619,55 @@ TEST_F(BTreeAuditTest, DetectsKeysOutOfOrderInLeaf) {
     std::memcpy(p + 24, tmp, 16);
   });
   ExpectAuditViolation(path, "out of order");
+}
+
+// Keys are unique, so a leaf that repeats one is damage. The tree is
+// built with keys 0, 1, 2, ... in 16-byte (key, value) entries.
+TEST_F(BTreeAuditTest, DetectsRepeatedKey) {
+  const std::string path = dir_ + "/t.bt";
+  BuildTree(path);
+  PageId leaf = FindNode(path, 0);
+  ASSERT_NE(leaf, kInvalidPage);
+  // The first key copied over the second, within the leaf.
+  EditPayload(path, leaf, [](char* p) { std::memcpy(p + 24, p + 8, 8); });
+  ExpectCorruption(path, "repeated key in leaf page");
+
+  // A leaf's first key set to the previous leaf's last key: each leaf is
+  // in order, the repeat is across the boundary.
+  const std::string path2 = dir_ + "/t2.bt";
+  BuildTree(path2);
+  PageId second = kInvalidPage;
+  {
+    PageFile file;
+    ASSERT_TRUE(file.Open(path2, false).ok());
+    std::vector<char> buf(kPageSize);
+    const std::string zero_key(8, '\0');
+    for (PageId id = 1; id < file.num_pages() && second == kInvalidPage;
+         ++id) {
+      ASSERT_TRUE(file.ReadPage(id, buf.data()).ok());
+      if (buf[0] == 0 &&
+          std::memcmp(buf.data() + 8, zero_key.data(), 8) != 0) {
+        second = id;
+      }
+    }
+    ASSERT_TRUE(file.Close().ok());
+  }
+  ASSERT_NE(second, kInvalidPage);
+  EditPayload(path2, second, [](char* p) {
+    const uint32_t first = __builtin_bswap32(DecodeFixed32(p + 12));
+    EncodeFixed32(p + 12, __builtin_bswap32(first - 1));
+  });
+  ExpectCorruption(path2, "repeated key across leaves");
+}
+
+// Nothing removes entries, so an empty leaf below the root is damage.
+TEST_F(BTreeAuditTest, DetectsEmptyNonRootLeaf) {
+  const std::string path = dir_ + "/t.bt";
+  BuildTree(path);
+  PageId leaf = FindNode(path, 0);
+  ASSERT_NE(leaf, kInvalidPage);
+  EditPayload(path, leaf, [](char* p) { p[2] = p[3] = 0; });
+  ExpectCorruption(path, "empty non-root leaf");
 }
 
 TEST_F(BTreeAuditTest, DetectsChildIdOutOfRange) {

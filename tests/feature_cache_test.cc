@@ -1,18 +1,16 @@
 // FeatureCache tests: signature canonicality, hit/miss/eviction accounting,
-// bitwise equality of cached vs recomputed features over random patterns,
-// and concurrent hammering (run under TSan via the `concurrency` label).
+// and bitwise equality of cached vs recomputed features over random
+// patterns.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "spectral/edge_encoder.h"
 #include "spectral/feature_cache.h"
 #include "spectral/skew_matrix.h"
@@ -134,18 +132,24 @@ TEST(FeatureCacheTest, EvictsUnderBudget) {
   }
   FeatureCacheStats stats = cache.Stats();
   EXPECT_GT(stats.evictions, 0u);
-  // At least the most recent insert of some shard survives.
+  // One FIFO under one budget: exactly the newest entries survive, and
+  // every other one was evicted.
   uint64_t survivors = 0;
   for (int i = 0; i < 4000; ++i) {
     CachedFeature out;
-    if (cache.Lookup("key-" + std::to_string(i), &out)) ++survivors;
+    if (cache.Lookup("key-" + std::to_string(i), &out)) {
+      ++survivors;
+    } else {
+      EXPECT_EQ(survivors, 0u) << "key-" << i << " evicted after a newer one";
+    }
   }
   EXPECT_GT(survivors, 0u);
   EXPECT_LT(survivors, 4000u);
+  EXPECT_EQ(survivors + stats.evictions, 4000u);
 }
 
 TEST(FeatureCacheTest, OversizedEntryIsSkippedNotCached) {
-  FeatureCache cache(1024);  // shard budget = 64 bytes, below any entry cost
+  FeatureCache cache(64);  // below the cost of any one entry
   CachedFeature in;
   cache.Insert(std::string(4096, 'k'), in);
   CachedFeature out;
@@ -192,34 +196,6 @@ TEST(FeatureCacheTest, CachedMatchesRecomputedOver1kRandomPatterns) {
   FeatureCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, hits_checked);
   EXPECT_EQ(stats.hits + stats.misses, 1000u);
-}
-
-TEST(FeatureCacheTest, ConcurrentMixedLoad) {
-  // 8 workers hammering overlapping keys; correctness = every successful
-  // lookup returns the bits whose key it asked for. Run under TSan in CI.
-  FeatureCache cache(1 << 20);
-  ThreadPool pool(8);
-  std::atomic<uint64_t> mismatches{0};
-  ParallelFor(&pool, 64, [&](size_t task) {
-    Rng rng(task);
-    for (int i = 0; i < 500; ++i) {
-      const uint64_t k = rng.Uniform(97);
-      const std::string key = "key-" + std::to_string(k);
-      CachedFeature out;
-      if (cache.Lookup(key, &out)) {
-        if (out.eigs.lambda_max != static_cast<double>(k)) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        CachedFeature in;
-        in.eigs.lambda_max = static_cast<double>(k);
-        cache.Insert(key, in);
-      }
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0u);
-  FeatureCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits + stats.misses, 64u * 500u);
 }
 
 }  // namespace

@@ -31,18 +31,18 @@ TEST(FixctlCliTest, WalCommandShape) {
 }
 
 TEST(FixctlCliTest, BuildFlagsMatchIndexOptions) {
-  // One entry per IndexOptions knob fixctl exposes — including the PR 3
-  // additions (--threads, --cache-mb) this test exists to keep visible.
+  // One entry per IndexOptions knob fixctl exposes, plus --shards. Build
+  // construction runs on one thread, so there is no build --threads.
   const fixctl::CliCommand* build = fixctl::FindCommand("build");
   ASSERT_NE(build, nullptr);
   for (const char* flag : {"--depth", "--clustered", "--beta", "--lambda2",
-                           "--sound", "--threads", "--cache-mb",
-                           "--shards"}) {
+                           "--sound", "--cache-mb", "--shards"}) {
     const fixctl::CliFlag* f = fixctl::FindFlag(*build, flag);
     ASSERT_NE(f, nullptr) << flag;
     EXPECT_NE(f->help[0], '\0') << flag << " has no help text";
   }
-  EXPECT_EQ(build->num_flags, 8u)
+  EXPECT_EQ(fixctl::FindFlag(*build, "--threads"), nullptr);
+  EXPECT_EQ(build->num_flags, 7u)
       << "flag table and this test disagree; update both when fixctl build "
          "gains or loses a flag";
   EXPECT_EQ(fixctl::FindFlag(*build, "--explain"), nullptr);
@@ -51,8 +51,7 @@ TEST(FixctlCliTest, BuildFlagsMatchIndexOptions) {
 TEST(FixctlCliTest, ValueFlagsDeclareOperands) {
   const fixctl::CliCommand* build = fixctl::FindCommand("build");
   ASSERT_NE(build, nullptr);
-  for (const char* flag : {"--depth", "--beta", "--threads", "--cache-mb",
-                           "--shards"}) {
+  for (const char* flag : {"--depth", "--beta", "--cache-mb", "--shards"}) {
     ASSERT_NE(fixctl::FindFlag(*build, flag), nullptr);
     EXPECT_NE(fixctl::FindFlag(*build, flag)->value_name, nullptr) << flag;
   }

@@ -198,22 +198,12 @@ TEST_F(StorageTest, RecordStoreEmptyPayload) {
   EXPECT_EQ(*r, "");
 }
 
-TEST_F(StorageTest, RecordStoreTouchCountsRead) {
-  RecordStore store;
-  ASSERT_TRUE(store.Open(Path("records"), true).ok());
-  auto id = store.Append("payload");
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(store.Touch(*id).ok());
-  EXPECT_EQ(store.reads(), 1u);
-}
-
 TEST_F(StorageTest, RecordStoreBadOffsetDetected) {
   RecordStore store;
   ASSERT_TRUE(store.Open(Path("records"), true).ok());
   ASSERT_TRUE(store.Append("data").ok());
   // Offset 2 lands mid-record: magic check must fail.
   EXPECT_FALSE(store.Read(RecordId{2}).ok());
-  EXPECT_FALSE(store.Touch(RecordId{2}).ok());
 }
 
 }  // namespace

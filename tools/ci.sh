@@ -19,8 +19,10 @@
 #      path, parity-checked per op, mixed read/write per layout, own CSV
 #      + snapshot carrying the fix.shard.* counters).
 #   7. a TSan build running the `concurrency` labeled suite (thread pool,
-#      feature cache, parallel index construction, concurrent queries, the
-#      wire codec and the loopback fixd service tests).
+#      metrics registry, concurrent queries, sharding, the wire codec and
+#      the loopback fixd service tests). Index construction runs on one
+#      thread, so the feature-cache and build-determinism tests are not in
+#      it.
 #   8. the fixd server smoke: boot the real binary on a loopback port over
 #      the deterministic DBLP corpus, prove the wire path lossless with the
 #      bench_qps --remote parity sweep, probe /stats over real HTTP, then
