@@ -61,7 +61,7 @@ void Run() {
     FIX_CHECK(cidx.ok());
 
     char ict[32];
-    std::snprintf(ict, sizeof(ict), "%.2f s", ustats.construction_seconds);
+    std::snprintf(ict, sizeof(ict), "%.3f s", ustats.construction_seconds);
     const uint64_t lookups =
         ustats.feature_cache_hits + ustats.feature_cache_misses;
     report.Row({DataSetName(paper.data), Num(corpus->num_docs()),

@@ -140,7 +140,7 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
     if (!sdb.ok()) return Fail(sdb.status());
     fix::BuildStats stats;
     if (auto s = (*sdb)->BuildIndexes("main", &stats); !s.ok()) return Fail(s);
-    std::printf("built %u shard(s): %llu entries in %.2f s (B+-trees "
+    std::printf("built %u shard(s): %llu entries in %.3f s (B+-trees "
                 "%.1f MB); %llu oversized pattern(s)\n",
                 shards, static_cast<unsigned long long>(stats.entries),
                 stats.construction_seconds,
@@ -152,7 +152,7 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
   fix::BuildStats stats;
   auto index = fix::FixIndex::Build(&*corpus, options, &stats);
   if (!index.ok()) return Fail(index.status());
-  std::printf("built %llu entries in %.2f s (B+-tree %.1f MB",
+  std::printf("built %llu entries in %.3f s (B+-tree %.1f MB",
               static_cast<unsigned long long>(stats.entries),
               stats.construction_seconds,
               stats.btree_bytes / (1024.0 * 1024.0));

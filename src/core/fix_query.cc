@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "common/metrics_registry.h"
@@ -135,13 +134,8 @@ Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
   stats.entries_scanned = lookup.entries_scanned;
 
   timer.Reset();
-  {
-    TraceSpan refine_span("query.refine");
-    FIX_RETURN_IF_ERROR(
-        RefineCandidates(query, lookup.candidates, &stats, results));
-    refine_span.AddAttr("nodes_visited", stats.nodes_visited);
-    refine_span.AddAttr("results", stats.result_count);
-  }
+  FIX_RETURN_IF_ERROR(
+      RefineCandidates(query, lookup.candidates, &stats, results));
   stats.refine_ms = timer.ElapsedMillis();
   RecordExecStats(stats);
   return stats;
@@ -154,13 +148,10 @@ void FixQueryProcessor::RefineDocGroup(
   const uint32_t doc_id = sorted[begin].key.ref.doc_id;
   const Document& doc = corpus_->doc(doc_id);
   const bool doc_unit = options.depth_limit == 0;
-  TwigMatcher matcher(&doc);
-  std::unordered_set<NodeId> dedup;
 
-  for (size_t i = begin; i < end; ++i) {
-    const FixIndex::Candidate& c = sorted[i];
-    std::vector<NodeId> bindings;
-    if (options.clustered) {
+  if (options.clustered) {
+    for (size_t i = begin; i < end; ++i) {
+      const FixIndex::Candidate& c = sorted[i];
       // Clustered refinement reads the subtree copy (sequential I/O — the
       // copies were laid out in key order) and matches on the copy.
       auto record_or =
@@ -178,6 +169,7 @@ void FixQueryProcessor::RefineDocGroup(
       }
       Document copy = std::move(copy_or).value();
       TwigMatcher copy_matcher(&copy);
+      std::vector<NodeId> bindings;
       if (doc_unit) {
         bindings = copy_matcher.Evaluate(query);
       } else {
@@ -193,39 +185,51 @@ void FixQueryProcessor::RefineDocGroup(
         ++out->producing;
         out->result_count += bindings.size();
       }
-      continue;
     }
-
-    // Unclustered: dereferencing the pointer into primary storage is one
-    // would-be random I/O per candidate; we account for it in random_reads
-    // without issuing a syscall so that the timed path compares engines on
-    // equal (in-memory) footing. See EXPERIMENTS.md for the I/O analysis.
-    ++out->random_reads;
-    uint64_t visited_before = matcher.nodes_visited();
-    if (doc_unit) {
-      bindings = matcher.Evaluate(query);
-    } else {
-      if (rooted && doc.parent(c.key.ref.node_id) != 0) continue;
-      bindings = matcher.EvaluateAt(c.key.ref.node_id, query);
-    }
-    out->nodes_visited += matcher.nodes_visited() - visited_before;
-    if (!bindings.empty()) ++out->producing;
-    for (NodeId b : bindings) {
-      if (dedup.insert(b).second) out->results.push_back({doc_id, b});
-    }
+    return;
   }
-  if (!options.clustered) out->result_count = dedup.size();
+
+  // Unclustered: dereferencing the pointer into primary storage is one
+  // would-be random I/O per candidate; we account for it in random_reads
+  // without issuing a syscall so that the timed path compares engines on
+  // equal (in-memory) footing. See EXPERIMENTS.md for the I/O analysis.
+  // One matcher pass answers the whole group, sorted and unique.
+  out->random_reads += end - begin;
+  TwigMatcher matcher(&doc);
+  std::vector<NodeId> bindings;
+  if (doc_unit) {
+    // Every candidate of a whole-document index is the document itself.
+    bindings = matcher.Evaluate(query);
+    if (!bindings.empty()) out->producing += end - begin;
+  } else {
+    std::vector<NodeId> contexts;
+    contexts.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      contexts.push_back(sorted[i].key.ref.node_id);
+    }
+    TwigMatcher::PassStats pass;
+    bindings = matcher.EvaluateFrom(contexts, query, rooted, &pass);
+    out->producing += pass.producing;
+    out->contexts += pass.contexts;
+    out->frontier += pass.frontier;
+  }
+  out->nodes_visited += matcher.nodes_visited();
+  out->result_count = bindings.size();
+  out->results.reserve(bindings.size());
+  for (NodeId b : bindings) out->results.push_back({doc_id, b});
 }
 
 Status FixQueryProcessor::RefineCandidates(
     const TwigQuery& query,
     const std::vector<FixIndex::Candidate>& candidates, ExecStats* stats,
     std::vector<NodeRef>* results) {
+  TraceSpan span("query.refine");
   const bool rooted = IsRootedQuery(query);
 
-  // Group candidates by document so the matcher memo is shared; the groups
-  // are also the parallel work units (documents are disjoint, so per-group
-  // dedup + in-order merge is equivalent to the sequential global dedup).
+  // Group candidates by document: each group is one matcher pass, whose
+  // results come out in node order, and a parallel work unit (documents are
+  // disjoint, so the in-order merge yields (doc, node) order, as the full
+  // scan does).
   std::vector<FixIndex::Candidate> sorted = candidates;
   std::sort(sorted.begin(), sorted.end(),
             [](const FixIndex::Candidate& a, const FixIndex::Candidate& b) {
@@ -255,16 +259,24 @@ Status FixQueryProcessor::RefineCandidates(
     total_results += o.results.size();
   }
   if (results != nullptr) results->reserve(results->size() + total_results);
+  uint64_t contexts = 0;
+  uint64_t frontier = 0;
   for (const GroupOutcome& o : outcomes) {
     stats->nodes_visited += o.nodes_visited;
     stats->producing += o.producing;
     stats->result_count += o.result_count;
     stats->random_reads += o.random_reads;
     stats->sequential_bytes += o.sequential_bytes;
+    contexts += o.contexts;
+    frontier += o.frontier;
     if (results != nullptr) {
       results->insert(results->end(), o.results.begin(), o.results.end());
     }
   }
+  span.AddAttr("nodes_visited", stats->nodes_visited);
+  span.AddAttr("results", stats->result_count);
+  span.AddAttr("contexts", contexts);
+  span.AddAttr("frontier", frontier);
   return Status::OK();
 }
 

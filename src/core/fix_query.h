@@ -95,10 +95,12 @@ class FixQueryProcessor {
   /// Runs the full query. `results` (optional) receives the deduplicated
   /// result-step bindings; it is filled only when refinement runs against
   /// primary documents (unclustered or whole-document candidates) — for
-  /// clustered subtree copies only counts are meaningful. Every candidate
-  /// is refined on its own, which attributes the per-entry `rst` the
-  /// Section 6.2 metrics need; one document's candidates share a matcher,
-  /// so overlapping subtrees are not re-walked.
+  /// clustered subtree copies only counts are meaningful. Results come out
+  /// in (doc, node) order, as the full scan's do. Unclustered refinement is
+  /// one matcher pass per document over all of its candidates
+  /// (TwigMatcher::EvaluateFrom), which still attributes the per-entry
+  /// `rst` the Section 6.2 metrics need; clustered refinement matches each
+  /// candidate's copy on its own.
   [[nodiscard]] Result<ExecStats> Execute(const TwigQuery& query,
                             std::vector<NodeRef>* results = nullptr);
 
@@ -112,6 +114,8 @@ class FixQueryProcessor {
     uint64_t result_count = 0;
     uint64_t random_reads = 0;
     uint64_t sequential_bytes = 0;
+    uint64_t contexts = 0;  ///< TwigMatcher::PassStats, summed
+    uint64_t frontier = 0;
   };
 
   [[nodiscard]] Status RefineCandidates(const TwigQuery& query,

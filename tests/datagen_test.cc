@@ -137,7 +137,7 @@ TEST(QueryGenTest, GeneratesResolvedDistinctSatisfiableQueries) {
     bool found = false;
     for (uint32_t d = 0; d < corpus.num_docs() && !found; ++d) {
       TwigMatcher matcher(&corpus.doc(d));
-      found = matcher.Exists(q);
+      found = !matcher.Evaluate(q).empty();
     }
     EXPECT_TRUE(found) << q.ToString();
   }

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
 #include "core/database.h"
+#include "core/fix_query.h"
 #include "datagen/datasets.h"
+#include "datagen/query_gen.h"
 
 namespace fix {
 namespace {
@@ -138,6 +141,82 @@ TEST_F(DatabaseTest, ValueIndexEndToEnd) {
   ASSERT_TRUE(exec.ok()) << exec.status();
   // The generator makes Springer the most common publisher; matches exist.
   EXPECT_GT(exec->result_count, 0u);
+}
+
+// Database::Query returns the same vector as the full scan, in the same
+// (doc, node) order, for every random query the paper probe's false
+// negatives (finding F1) do not touch. Under the sound probe that is every
+// query; under the paper probe a query F1 touches must lose results, never
+// gain or reorder them.
+TEST_F(DatabaseTest, QueryResultsInFullScanOrder) {
+  struct Case {
+    const char* name;
+    void (*generate)(Corpus*);
+    int depth_limit;
+  };
+  const Case cases[] = {
+      {"tcmd",
+       [](Corpus* c) {
+         TcmdOptions o;
+         o.num_docs = 60;
+         GenerateTcmd(c, o);
+       },
+       0},
+      {"dblp",
+       [](Corpus* c) {
+         DblpOptions o;
+         o.num_publications = 300;
+         GenerateDblp(c, o);
+       },
+       6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (bool sound : {false, true}) {
+      SCOPED_TRACE(sound ? "sound_probe" : "paper_probe");
+      const std::string sub = dir_ + "/" + c.name + (sound ? "_s" : "_p");
+      std::filesystem::create_directories(sub);
+      Database db(sub);
+      c.generate(db.corpus());
+      ASSERT_TRUE(db.Finalize().ok());
+      IndexOptions options;
+      options.depth_limit = c.depth_limit;
+      options.sound_probe = sound;
+      ASSERT_TRUE(db.BuildIndex("main", options, nullptr).ok());
+
+      QueryGenOptions qopts;
+      qopts.seed = 23;
+      std::vector<TwigQuery> queries =
+          GenerateRandomQueries(*db.corpus(), 40, qopts);
+      qopts.seed = 24;
+      qopts.rooted = true;
+      for (TwigQuery& q : GenerateRandomQueries(*db.corpus(), 10, qopts)) {
+        queries.push_back(std::move(q));
+      }
+      size_t compared = 0;
+      for (const TwigQuery& q : queries) {
+        const std::string xpath = q.ToString();
+        SCOPED_TRACE(xpath);
+        std::vector<NodeRef> scan, got;
+        ASSERT_TRUE(FullScanExecute(db.corpus(), q, &scan, 0).ok());
+        auto stats = db.Query("main", xpath, &got);
+        ASSERT_TRUE(stats.ok()) << stats.status();
+        EXPECT_EQ(stats->result_count, got.size());
+        if (!sound && got.size() < scan.size()) {
+          EXPECT_TRUE(std::includes(
+              scan.begin(), scan.end(), got.begin(), got.end(),
+              [](const NodeRef& a, const NodeRef& b) {
+                return a.doc_id != b.doc_id ? a.doc_id < b.doc_id
+                                            : a.node_id < b.node_id;
+              }));
+          continue;
+        }
+        EXPECT_EQ(got, scan);
+        ++compared;
+      }
+      EXPECT_GE(compared, queries.size() * 9 / 10);
+    }
+  }
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ TEST_P(InvariantsTest, Theorem2StructurePreservation) {
     TwigMatcher matcher(&corpus.doc(d));
     for (const auto& q : queries) {
       if (!q.IsPureTwig()) continue;
-      bool on_tree = matcher.Exists(q);
+      bool on_tree = !matcher.Evaluate(q).empty();
       PatternMatcher pattern_matcher(&*graph, &q);
       bool on_graph = pattern_matcher.MatchesAnywhere();
       EXPECT_EQ(on_tree, on_graph)

@@ -1,12 +1,19 @@
 // Tests for the navigational twig matcher (the refinement engine): axis
-// semantics, predicates, value constraints, result bindings, and
-// context-rooted evaluation.
+// semantics, predicates, value constraints, result bindings,
+// context-rooted evaluation, and the one-pass EvaluateFrom against the
+// per-context EvaluateAt it replaces in refinement.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/corpus.h"
+#include "datagen/datasets.h"
+#include "datagen/query_gen.h"
 #include "query/match.h"
 #include "query/xpath_parser.h"
 #include "xml/parser.h"
@@ -95,8 +102,8 @@ TEST_F(MatchTest, ResultBindingsAreDeduplicated) {
 TEST_F(MatchTest, ExistsMatchesEvaluate) {
   Document doc = Parse("<a><b><c/></b></a>");
   TwigMatcher matcher(&doc);
-  EXPECT_TRUE(matcher.Exists(Query("//b/c")));
-  EXPECT_FALSE(matcher.Exists(Query("//c/b")));
+  EXPECT_FALSE(matcher.Evaluate(Query("//b/c")).empty());
+  EXPECT_TRUE(matcher.Evaluate(Query("//c/b")).empty());
 }
 
 TEST_F(MatchTest, EvaluateAtBindsContext) {
@@ -107,10 +114,10 @@ TEST_F(MatchTest, EvaluateAtBindsContext) {
   NodeId root = doc.root_element();
   NodeId s1 = doc.first_child(root);
   NodeId s2 = doc.next_sibling(s1);
-  EXPECT_TRUE(matcher.ExistsAt(s1, q));
-  EXPECT_FALSE(matcher.ExistsAt(s2, q));
+  EXPECT_FALSE(matcher.EvaluateAt(s1, q).empty());
+  EXPECT_TRUE(matcher.EvaluateAt(s2, q).empty());
   // Context label must match the root step.
-  EXPECT_FALSE(matcher.ExistsAt(root, q));
+  EXPECT_TRUE(matcher.EvaluateAt(root, q).empty());
 }
 
 TEST_F(MatchTest, NewQueryResetsMemo) {
@@ -119,9 +126,9 @@ TEST_F(MatchTest, NewQueryResetsMemo) {
   TwigQuery q1 = Query("//a[b]");
   TwigQuery q2 = Query("//a[c]");
   NodeId root = doc.root_element();
-  EXPECT_TRUE(matcher.ExistsAt(root, q1));
+  EXPECT_FALSE(matcher.EvaluateAt(root, q1).empty());
   matcher.NewQuery();
-  EXPECT_FALSE(matcher.ExistsAt(root, q2));
+  EXPECT_TRUE(matcher.EvaluateAt(root, q2).empty());
 }
 
 TEST_F(MatchTest, RecursiveLabelsDeepNesting) {
@@ -148,6 +155,168 @@ TEST_F(MatchTest, UnknownLabelNeverMatches) {
   Document doc = Parse("<a><b/></a>");
   EXPECT_EQ(Count(doc, "//zzz"), 0u);
 }
+
+TEST_F(MatchTest, EvaluateFromNestedContexts) {
+  // Nested s contexts: the outer one's // walk covers the inner one, and
+  // each reaches n through a different chain.
+  Document doc = Parse("<s><s><n/></s><x><n/></x><m/></s>");
+  TwigQuery q = Query("//s//n");
+  std::vector<NodeId> contexts;
+  for (NodeId n = 1; n < doc.num_nodes(); ++n) {
+    if (doc.IsElement(n)) contexts.push_back(n);
+  }
+  TwigMatcher matcher(&doc);
+  TwigMatcher::PassStats pass;
+  std::vector<NodeId> got = matcher.EvaluateFrom(contexts, q, false, &pass);
+  EXPECT_EQ(got.size(), 2u);
+  EXPECT_EQ(pass.contexts, 2u);  // the two s elements
+  EXPECT_EQ(pass.producing, 2u);
+  EXPECT_EQ(pass.frontier, 4u);  // 2 s + 2 n
+  // Rooted: only the outer s sits under the document node.
+  TwigQuery rooted = Query("/s/n");
+  TwigMatcher rooted_matcher(&doc);
+  EXPECT_TRUE(rooted_matcher.EvaluateFrom(contexts, rooted, true, &pass)
+                  .empty());
+  EXPECT_EQ(pass.contexts, 1u);
+  EXPECT_EQ(pass.producing, 0u);
+}
+
+// EvaluateFrom over a context set must equal the per-context EvaluateAt
+// loop it replaces, run once per distinct context: the sorted union of the
+// results, the number of contexts with a non-empty result (rst), and no
+// more matcher work.
+struct FromCase {
+  const char* name;
+  std::function<void(Corpus*)> generate;
+};
+
+class EvaluateFromTest : public ::testing::TestWithParam<FromCase> {};
+
+TEST_P(EvaluateFromTest, EqualsUnionOfEvaluateAt) {
+  Corpus corpus;
+  GetParam().generate(&corpus);
+  ASSERT_GT(corpus.num_docs(), 0u);
+
+  std::vector<TwigQuery> queries;
+  QueryGenOptions qopts;
+  qopts.seed = 17;
+  for (TwigQuery& q : GenerateRandomQueries(corpus, 20, qopts)) {
+    // The generator emits / below the root; a //-everywhere twin drives
+    // the descendant steps and nested frontiers on the same labels.
+    TwigQuery twin = q;
+    for (uint32_t i = 0; i < twin.steps.size(); ++i) {
+      if (i != twin.root) twin.steps[i].axis = Axis::kDescendant;
+    }
+    queries.push_back(std::move(q));
+    queries.push_back(std::move(twin));
+  }
+  qopts.rooted = true;
+  qopts.seed = 18;
+  for (TwigQuery& q : GenerateRandomQueries(corpus, 8, qopts)) {
+    queries.push_back(std::move(q));
+  }
+  for (const char* text : {"//*", "//*/*", "//*[*]/*", "/*/*", "//*//*[*]",
+                           "/*//*"}) {
+    auto q = ParseXPath(text);
+    ASSERT_TRUE(q.ok()) << text;
+    q->ResolveLabels(corpus.labels());
+    queries.push_back(std::move(q).value());
+  }
+  ASSERT_GT(queries.size(), 40u);
+
+  Rng rng(GetParam().name[0]);
+  size_t nonempty = 0;
+  for (const TwigQuery& q : queries) {
+    SCOPED_TRACE(q.ToString());
+    const bool rooted = q.steps[q.root].axis == Axis::kChild;
+    const QueryStep& root = q.steps[q.root];
+    for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+      const Document& doc = corpus.doc(d);
+      // Context sets: empty, every element, a random third of them in
+      // random order with repeats, the elements whose label the root step
+      // rejects, every node, and a few random elements in random order
+      // with a repeat.
+      std::vector<std::vector<NodeId>> sets(6);
+      for (NodeId n = 1; n < doc.num_nodes(); ++n) {
+        sets[4].push_back(n);
+        if (!doc.IsElement(n)) continue;
+        sets[1].push_back(n);
+        if (rng.Uniform(3) == 0) sets[2].push_back(n);
+        if (rng.Uniform(200) == 0) sets[5].push_back(n);
+        if (!root.wildcard && doc.label(n) != root.label) {
+          sets[3].push_back(n);
+        }
+      }
+      for (size_t k : {2, 5}) {
+        std::vector<NodeId>& set = sets[k];
+        if (!set.empty()) set.push_back(set[rng.Uniform(set.size())]);
+        for (size_t i = set.size(); i > 1; --i) {
+          std::swap(set[i - 1], set[rng.Uniform(i)]);
+        }
+      }
+      for (size_t k = 0; k < sets.size(); ++k) {
+        SCOPED_TRACE("doc " + std::to_string(d) + " set " +
+                     std::to_string(k));
+        TwigMatcher per_context(&doc);
+        std::set<NodeId> expect;
+        uint64_t expect_producing = 0;
+        for (NodeId c : std::set<NodeId>(sets[k].begin(), sets[k].end())) {
+          if (rooted && doc.parent(c) != 0) continue;
+          std::vector<NodeId> bindings = per_context.EvaluateAt(c, q);
+          if (!bindings.empty()) ++expect_producing;
+          expect.insert(bindings.begin(), bindings.end());
+        }
+
+        TwigMatcher one_pass(&doc);
+        TwigMatcher::PassStats pass;
+        std::vector<NodeId> got =
+            one_pass.EvaluateFrom(sets[k], q, rooted, &pass);
+        ASSERT_EQ(got, std::vector<NodeId>(expect.begin(), expect.end()));
+        EXPECT_EQ(pass.producing, expect_producing);
+        EXPECT_LE(pass.producing, pass.contexts);
+        EXPECT_LE(pass.contexts, pass.frontier);
+        EXPECT_LE(one_pass.nodes_visited(), per_context.nodes_visited());
+        if (!got.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, EvaluateFromTest,
+    ::testing::Values(
+        FromCase{"tcmd",
+                 [](Corpus* c) {
+                   TcmdOptions o;
+                   o.num_docs = 12;
+                   GenerateTcmd(c, o);
+                 }},
+        FromCase{"dblp",
+                 [](Corpus* c) {
+                   DblpOptions o;
+                   o.num_publications = 120;
+                   GenerateDblp(c, o);
+                 }},
+        FromCase{"xmark",
+                 [](Corpus* c) {
+                   XMarkOptions o;
+                   o.num_items = 12;
+                   o.num_people = 12;
+                   o.num_open_auctions = 12;
+                   o.num_closed_auctions = 12;
+                   o.num_categories = 6;
+                   GenerateXMark(c, o);
+                 }},
+        FromCase{"treebank",
+                 [](Corpus* c) {
+                   TreebankOptions o;
+                   o.num_sentences = 40;
+                   GenerateTreebank(c, o);
+                 }}),
+    [](const ::testing::TestParamInfo<FromCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fix
