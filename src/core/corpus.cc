@@ -73,7 +73,7 @@ Result<Corpus> Corpus::Load(const std::string& dir) {
     FIX_ASSIGN_OR_RETURN(record, corpus.primary_.Read(id));
     Document doc;
     FIX_ASSIGN_OR_RETURN(doc, DecodeDocument(record));
-    corpus.docs_.push_back(std::move(doc));
+    corpus.AddDocument(std::move(doc));
   }
   corpus.primary_.ResetCounters();  // loading reads are not query I/O
   return corpus;

@@ -31,8 +31,10 @@ class Corpus {
   LabelTable* labels() { return &labels_; }
   const LabelTable& labels() const { return labels_; }
 
-  /// Adds a document; returns its doc id.
+  /// Adds a document; returns its doc id. The document is complete: its
+  /// construction scratch is released.
   uint32_t AddDocument(Document doc) {
+    doc.ReleaseConstructionScratch();
     docs_.push_back(std::move(doc));
     return static_cast<uint32_t>(docs_.size() - 1);
   }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -70,6 +69,55 @@ void RecordBuildStats(const BuildStats& stats) {
   edges->Add(stats.bisim_edges);
   duration->Record(
       static_cast<uint64_t>(stats.construction_seconds * 1e6));
+}
+
+/// One bit per doc id: the documents a whole-document lookup keeps.
+using DocBitmap = std::vector<uint64_t>;
+
+bool HasDoc(const DocBitmap& bits, uint32_t doc) {
+  const size_t word = doc / 64;
+  return word < bits.size() && ((bits[word] >> (doc % 64)) & 1) != 0;
+}
+
+/// Marks the documents of `candidates`. The bitmap is sized from the
+/// largest doc id among them, never from the corpus, which inserts grow
+/// while readers run.
+DocBitmap MarkDocs(const std::vector<FixIndex::Candidate>& candidates) {
+  uint32_t max_doc = 0;
+  for (const FixIndex::Candidate& c : candidates) {
+    max_doc = std::max(max_doc, c.key.ref.doc_id);
+  }
+  DocBitmap bits(candidates.empty() ? 0 : max_doc / 64 + 1, 0);
+  for (const FixIndex::Candidate& c : candidates) {
+    bits[c.key.ref.doc_id / 64] |= uint64_t{1} << (c.key.ref.doc_id % 64);
+  }
+  return bits;
+}
+
+/// `candidates` grouped by document in ascending doc id, each document's
+/// in scan order: a counting sort over doc ids, O(candidates + max doc
+/// id), with no comparisons. With `keep`, only the documents it marks stay.
+std::vector<FixIndex::Candidate> GroupByDocument(
+    const std::vector<FixIndex::Candidate>& candidates,
+    const DocBitmap* keep) {
+  auto kept = [keep](uint32_t doc) {
+    return keep == nullptr || HasDoc(*keep, doc);
+  };
+  uint32_t max_doc = 0;
+  for (const FixIndex::Candidate& c : candidates) {
+    if (kept(c.key.ref.doc_id)) max_doc = std::max(max_doc, c.key.ref.doc_id);
+  }
+  // start[d] is where document d's run begins once the counts are summed.
+  std::vector<uint32_t> start(static_cast<size_t>(max_doc) + 2, 0);
+  for (const FixIndex::Candidate& c : candidates) {
+    if (kept(c.key.ref.doc_id)) ++start[c.key.ref.doc_id + 1];
+  }
+  for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+  std::vector<FixIndex::Candidate> grouped(start.back());
+  for (const FixIndex::Candidate& c : candidates) {
+    if (kept(c.key.ref.doc_id)) grouped[start[c.key.ref.doc_id]++] = c;
+  }
+  return grouped;
 }
 
 }  // namespace
@@ -745,20 +793,24 @@ Result<FixIndex::LookupResult> FixIndex::Lookup(const TwigQuery& query) {
         out.covered = false;
         return out;
       }
-      return LabelOnlyScan(root.label);
+      FIX_ASSIGN_OR_RETURN(out, LabelOnlyScan(root.label));
+    } else {
+      // Interior descendant sub-twigs give no pruning power here
+      // (Section 5).
+      FIX_ASSIGN_OR_RETURN(out, Probe(parts[0]));
     }
-    // Interior descendant sub-twigs give no pruning power here (Section 5).
-    return Probe(parts[0]);
+    out.candidates = GroupByDocument(out.candidates, nullptr);
+    return out;
   }
 
   // Whole-document index: every sub-twig prunes; candidates must appear in
-  // the intersection of per-sub-twig candidate documents. Root-label
-  // pruning is only sound for the top sub-twig of a rooted (/) query —
-  // a descendant-rooted pattern can match below the document root, whose
-  // label is what whole-document entries carry.
+  // the intersection of per-sub-twig candidate documents, kept as one
+  // doc-id bitmap. Root-label pruning is only sound for the top sub-twig
+  // of a rooted (/) query — a descendant-rooted pattern can match below the
+  // document root, whose label is what whole-document entries carry.
   LookupResult merged;
   std::vector<Candidate> first_candidates;
-  std::set<uint32_t> surviving;
+  DocBitmap surviving;
   for (size_t i = 0; i < parts.size(); ++i) {
     bool label_ok = (i == 0) &&
                     parts[0].steps[parts[0].root].axis == Axis::kChild &&
@@ -778,23 +830,17 @@ Result<FixIndex::LookupResult> FixIndex::Lookup(const TwigQuery& query) {
       FIX_ASSIGN_OR_RETURN(part, Probe(parts[i], label_ok));
     }
     merged.entries_scanned += part.entries_scanned;
-    std::set<uint32_t> docs;
-    for (const Candidate& c : part.candidates) {
-      docs.insert(c.key.ref.doc_id);
-    }
+    DocBitmap docs = MarkDocs(part.candidates);
     if (i == 0) {
       first_candidates = std::move(part.candidates);
       surviving = std::move(docs);
     } else {
-      std::set<uint32_t> kept;
-      std::set_intersection(surviving.begin(), surviving.end(), docs.begin(),
-                            docs.end(), std::inserter(kept, kept.begin()));
-      surviving = std::move(kept);
+      // A document past the end of either bitmap is in neither.
+      surviving.resize(std::min(surviving.size(), docs.size()));
+      for (size_t w = 0; w < surviving.size(); ++w) surviving[w] &= docs[w];
     }
   }
-  for (Candidate& c : first_candidates) {
-    if (surviving.count(c.key.ref.doc_id) > 0) merged.candidates.push_back(c);
-  }
+  merged.candidates = GroupByDocument(first_candidates, &surviving);
   return merged;
 }
 

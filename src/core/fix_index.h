@@ -81,6 +81,10 @@ class FixIndex {
   };
 
   struct LookupResult {
+    /// Lookup's candidates are grouped by document, in ascending doc id
+    /// (each document's in B+-tree key order), on every branch, so
+    /// refinement walks per-document runs without sorting. Probe's come
+    /// in key order.
     std::vector<Candidate> candidates;
     /// B+-tree entries touched by the range scan(s) (logical index I/O).
     uint64_t entries_scanned = 0;
@@ -143,7 +147,8 @@ class FixIndex {
 
   /// Full Algorithm 2 lookup: decomposes at interior //-edges, probes the
   /// B+-tree per usable sub-twig, and (for whole-document indexes)
-  /// intersects candidate documents across sub-twigs.
+  /// intersects candidate documents across sub-twigs in a doc-id bitmap.
+  /// The candidates come out grouped by ascending doc id (LookupResult).
   ///
   /// @pre `query` has had ResolveLabels run against this index's corpus.
   /// @return the candidate set (covered == false signals the caller must
@@ -162,7 +167,8 @@ class FixIndex {
   ///
   /// @pre `subtwig` is a pure twig (no interior //-edges) with resolved
   ///      labels.
-  /// @return candidates of the single range scan, or Corruption/IOError.
+  /// @return candidates of the single range scan, in key order, or
+  ///         Corruption/IOError.
   [[nodiscard]] Result<LookupResult> Probe(const TwigQuery& subtwig,
                              bool use_root_label = true);
 

@@ -83,6 +83,66 @@ const QueryMetrics& GetQueryMetrics() {
   return m;
 }
 
+/// EvaluateDocuments' loop over positions [begin, end) of its list.
+void EvaluateRange(const Corpus& corpus, const TwigQuery& query,
+                   const std::vector<uint32_t>* docs, size_t begin,
+                   size_t end, ExecStats* stats,
+                   std::vector<NodeRef>* results) {
+  for (size_t i = begin; i < end; ++i) {
+    const uint32_t d = docs == nullptr ? static_cast<uint32_t>(i) : (*docs)[i];
+    TwigMatcher matcher(&corpus.doc(d));
+    const std::vector<NodeId> bindings = matcher.Evaluate(query);
+    stats->nodes_visited += matcher.nodes_visited();
+    stats->result_count += bindings.size();
+    if (!bindings.empty()) ++stats->producing;
+    if (results != nullptr) {
+      for (NodeId b : bindings) results->push_back({d, b});
+    }
+  }
+}
+
+/// The one per-document evaluation loop, shared by the full scan and
+/// whole-document (depth-0, unclustered) refinement: TwigMatcher::Evaluate
+/// over each document of `docs` in list order (every corpus document,
+/// ascending, when `docs` is null). Adds nodes_visited, result_count and
+/// producing (documents with >= 1 binding) to `stats` and appends the
+/// (doc, node) bindings to `results` (optional). With a multi-thread
+/// `pool` the list is cut into contiguous chunks, each with its own output,
+/// concatenated in chunk order, so results and stats are byte-identical to
+/// the sequential loop. Returns the number of documents evaluated.
+uint64_t EvaluateDocuments(const Corpus& corpus, const TwigQuery& query,
+                           const std::vector<uint32_t>* docs, ThreadPool* pool,
+                           ExecStats* stats, std::vector<NodeRef>* results) {
+  const size_t n = docs == nullptr ? corpus.num_docs() : docs->size();
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    EvaluateRange(corpus, query, docs, 0, n, stats, results);
+    return n;
+  }
+  // Contiguous chunks, a few per thread so that one large document cannot
+  // idle the pool, each with its own output; concatenating them in chunk
+  // order gives the sequential loop's results and sums.
+  struct Chunk {
+    ExecStats stats;
+    std::vector<NodeRef> results;
+  };
+  const size_t num_chunks = std::min(n, pool->num_threads() * 4);
+  std::vector<Chunk> chunks(num_chunks);
+  ParallelFor(pool, num_chunks, [&](size_t c) {
+    EvaluateRange(corpus, query, docs, n * c / num_chunks,
+                  n * (c + 1) / num_chunks, &chunks[c].stats,
+                  results == nullptr ? nullptr : &chunks[c].results);
+  });
+  for (const Chunk& c : chunks) {
+    stats->nodes_visited += c.stats.nodes_visited;
+    stats->result_count += c.stats.result_count;
+    stats->producing += c.stats.producing;
+    if (results != nullptr) {
+      results->insert(results->end(), c.results.begin(), c.results.end());
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 void RecordExecStats(const ExecStats& stats) {
@@ -142,16 +202,16 @@ Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
 }
 
 void FixQueryProcessor::RefineDocGroup(
-    const TwigQuery& query, const std::vector<FixIndex::Candidate>& sorted,
+    const TwigQuery& query, const std::vector<FixIndex::Candidate>& candidates,
     size_t begin, size_t end, bool rooted, GroupOutcome* out) {
   const IndexOptions& options = index_->options();
-  const uint32_t doc_id = sorted[begin].key.ref.doc_id;
+  const uint32_t doc_id = candidates[begin].key.ref.doc_id;
   const Document& doc = corpus_->doc(doc_id);
-  const bool doc_unit = options.depth_limit == 0;
 
   if (options.clustered) {
+    const bool doc_unit = options.depth_limit == 0;
     for (size_t i = begin; i < end; ++i) {
-      const FixIndex::Candidate& c = sorted[i];
+      const FixIndex::Candidate& c = candidates[i];
       // Clustered refinement reads the subtree copy (sequential I/O — the
       // copies were laid out in key order) and matches on the copy.
       auto record_or =
@@ -196,23 +256,17 @@ void FixQueryProcessor::RefineDocGroup(
   // One matcher pass answers the whole group, sorted and unique.
   out->random_reads += end - begin;
   TwigMatcher matcher(&doc);
-  std::vector<NodeId> bindings;
-  if (doc_unit) {
-    // Every candidate of a whole-document index is the document itself.
-    bindings = matcher.Evaluate(query);
-    if (!bindings.empty()) out->producing += end - begin;
-  } else {
-    std::vector<NodeId> contexts;
-    contexts.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      contexts.push_back(sorted[i].key.ref.node_id);
-    }
-    TwigMatcher::PassStats pass;
-    bindings = matcher.EvaluateFrom(contexts, query, rooted, &pass);
-    out->producing += pass.producing;
-    out->contexts += pass.contexts;
-    out->frontier += pass.frontier;
+  std::vector<NodeId> contexts;
+  contexts.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    contexts.push_back(candidates[i].key.ref.node_id);
   }
+  TwigMatcher::PassStats pass;
+  std::vector<NodeId> bindings =
+      matcher.EvaluateFrom(contexts, query, rooted, &pass);
+  out->producing += pass.producing;
+  out->contexts += pass.contexts;
+  out->frontier += pass.frontier;
   out->nodes_visited += matcher.nodes_visited();
   out->result_count = bindings.size();
   out->results.reserve(bindings.size());
@@ -224,55 +278,69 @@ Status FixQueryProcessor::RefineCandidates(
     const std::vector<FixIndex::Candidate>& candidates, ExecStats* stats,
     std::vector<NodeRef>* results) {
   TraceSpan span("query.refine");
-  const bool rooted = IsRootedQuery(query);
-
-  // Group candidates by document: each group is one matcher pass, whose
-  // results come out in node order, and a parallel work unit (documents are
-  // disjoint, so the in-order merge yields (doc, node) order, as the full
-  // scan does).
-  std::vector<FixIndex::Candidate> sorted = candidates;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const FixIndex::Candidate& a, const FixIndex::Candidate& b) {
-              return a.key.ref.doc_id < b.key.ref.doc_id;
-            });
-
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per doc
-  for (size_t i = 0; i < sorted.size();) {
-    size_t j = i + 1;
-    while (j < sorted.size() &&
-           sorted[j].key.ref.doc_id == sorted[i].key.ref.doc_id) {
-      ++j;
-    }
-    groups.emplace_back(i, j);
-    i = j;
-  }
-
-  std::vector<GroupOutcome> outcomes(groups.size());
-  ParallelFor(pool_, groups.size(), [&](size_t g) {
-    RefineDocGroup(query, sorted, groups[g].first, groups[g].second, rooted,
-                   &outcomes[g]);
-  });
-
-  size_t total_results = 0;
-  for (const GroupOutcome& o : outcomes) {
-    FIX_RETURN_IF_ERROR(o.status);
-    total_results += o.results.size();
-  }
-  if (results != nullptr) results->reserve(results->size() + total_results);
+  const IndexOptions& options = index_->options();
+  uint64_t docs = 0;
   uint64_t contexts = 0;
   uint64_t frontier = 0;
-  for (const GroupOutcome& o : outcomes) {
-    stats->nodes_visited += o.nodes_visited;
-    stats->producing += o.producing;
-    stats->result_count += o.result_count;
-    stats->random_reads += o.random_reads;
-    stats->sequential_bytes += o.sequential_bytes;
-    contexts += o.contexts;
-    frontier += o.frontier;
-    if (results != nullptr) {
-      results->insert(results->end(), o.results.begin(), o.results.end());
+
+  if (options.depth_limit == 0 && !options.clustered) {
+    // Whole-document candidates are the documents themselves, one entry
+    // each, in ascending doc id (Lookup's postcondition): the full scan's
+    // loop over just these documents. Each candidate is one would-be
+    // random read of primary storage, as in RefineDocGroup.
+    std::vector<uint32_t> doc_ids;
+    doc_ids.reserve(candidates.size());
+    for (const FixIndex::Candidate& c : candidates) {
+      FIX_DCHECK(doc_ids.empty() || doc_ids.back() < c.key.ref.doc_id);
+      doc_ids.push_back(c.key.ref.doc_id);
+    }
+    stats->random_reads += candidates.size();
+    docs = EvaluateDocuments(*corpus_, query, &doc_ids, pool_, stats,
+                             results);
+  } else {
+    // Lookup hands the candidates over grouped by ascending doc id: each
+    // run is one matcher pass, whose results come out in node order, and a
+    // parallel work unit (documents are disjoint, so the in-order merge
+    // yields (doc, node) order, as the full scan does).
+    const bool rooted = IsRootedQuery(query);
+    std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per doc
+    for (size_t i = 0; i < candidates.size();) {
+      size_t j = i + 1;
+      while (j < candidates.size() &&
+             candidates[j].key.ref.doc_id == candidates[i].key.ref.doc_id) {
+        ++j;
+      }
+      groups.emplace_back(i, j);
+      i = j;
+    }
+    docs = groups.size();
+
+    std::vector<GroupOutcome> outcomes(groups.size());
+    ParallelFor(pool_, groups.size(), [&](size_t g) {
+      RefineDocGroup(query, candidates, groups[g].first, groups[g].second,
+                     rooted, &outcomes[g]);
+    });
+
+    size_t total_results = 0;
+    for (const GroupOutcome& o : outcomes) {
+      FIX_RETURN_IF_ERROR(o.status);
+      total_results += o.results.size();
+    }
+    if (results != nullptr) results->reserve(results->size() + total_results);
+    for (const GroupOutcome& o : outcomes) {
+      stats->nodes_visited += o.nodes_visited;
+      stats->producing += o.producing;
+      stats->result_count += o.result_count;
+      stats->random_reads += o.random_reads;
+      stats->sequential_bytes += o.sequential_bytes;
+      contexts += o.contexts;
+      frontier += o.frontier;
+      if (results != nullptr) {
+        results->insert(results->end(), o.results.begin(), o.results.end());
+      }
     }
   }
+  span.AddAttr("docs", docs);
   span.AddAttr("nodes_visited", stats->nodes_visited);
   span.AddAttr("results", stats->result_count);
   span.AddAttr("contexts", contexts);
@@ -293,23 +361,10 @@ Result<ExecStats> FullScanExecute(Corpus* corpus, const TwigQuery& query,
   stats.total_entries = total_entries;
   stats.candidates = stats.total_entries;  // nothing pruned
   Timer timer;
-  const uint32_t num_docs = corpus->num_docs();
-  std::vector<std::vector<NodeId>> per_doc(num_docs);
-  std::vector<uint64_t> visited(num_docs, 0);
-  ParallelFor(pool, num_docs, [&](size_t d) {
-    TwigMatcher matcher(&corpus->doc(static_cast<uint32_t>(d)));
-    per_doc[d] = matcher.Evaluate(query);
-    visited[d] = matcher.nodes_visited();
-  });
-  for (uint32_t d = 0; d < num_docs; ++d) {
-    stats.nodes_visited += visited[d];
-    stats.result_count += per_doc[d].size();
-    if (!per_doc[d].empty()) ++stats.producing;
-    if (results != nullptr) {
-      for (NodeId b : per_doc[d]) results->push_back({d, b});
-    }
-  }
+  const uint64_t docs =
+      EvaluateDocuments(*corpus, query, nullptr, pool, &stats, results);
   stats.refine_ms = timer.ElapsedMillis();
+  span.AddAttr("docs", docs);
   RecordExecStats(stats);
   return stats;
 }

@@ -96,8 +96,11 @@ class FixQueryProcessor {
   /// result-step bindings; it is filled only when refinement runs against
   /// primary documents (unclustered or whole-document candidates) — for
   /// clustered subtree copies only counts are meaningful. Results come out
-  /// in (doc, node) order, as the full scan's do. Unclustered refinement is
-  /// one matcher pass per document over all of its candidates
+  /// in (doc, node) order, as the full scan's do. Refinement walks Lookup's
+  /// per-document candidate runs in place. Whole-document (depth 0)
+  /// unclustered candidates go through the full scan's per-document
+  /// Evaluate loop; depth-limited unclustered refinement is one matcher
+  /// pass per document over all of its candidates
   /// (TwigMatcher::EvaluateFrom), which still attributes the per-entry
   /// `rst` the Section 6.2 metrics need; clustered refinement matches each
   /// candidate's copy on its own.
@@ -122,11 +125,11 @@ class FixQueryProcessor {
                           const std::vector<FixIndex::Candidate>& candidates,
                           ExecStats* stats, std::vector<NodeRef>* results);
 
-  /// Refines the candidate group sorted[begin, end) — all of one document —
-  /// into `out`. Runs on pool workers; touches only read-shared index state
-  /// and `out`.
+  /// Refines the candidate run candidates[begin, end) — all of one
+  /// document — of a clustered or depth-limited index into `out`. Runs on
+  /// pool workers; touches only read-shared index state and `out`.
   void RefineDocGroup(const TwigQuery& query,
-                      const std::vector<FixIndex::Candidate>& sorted,
+                      const std::vector<FixIndex::Candidate>& candidates,
                       size_t begin, size_t end, bool rooted,
                       GroupOutcome* out);
 

@@ -83,6 +83,13 @@ class Document {
     attributes_.push_back({owner, std::move(name), std::move(value)});
   }
 
+  /// Frees the append scratch (one NodeId per node) once construction is
+  /// done; Corpus::AddDocument calls it. Appending afterwards stays correct:
+  /// it walks the parent's child chain where no cached last child is left.
+  void ReleaseConstructionScratch() {
+    std::vector<NodeId>().swap(last_child_);
+  }
+
   // -- accessors -------------------------------------------------------------
 
   const Node& node(NodeId id) const { return nodes_[id]; }
@@ -166,7 +173,7 @@ class Document {
   std::vector<Node> nodes_;
   std::vector<std::string> texts_;
   std::vector<Attribute> attributes_;
-  std::vector<NodeId> last_child_;  // construction scratch
+  std::vector<NodeId> last_child_;  // construction scratch; see above
 };
 
 }  // namespace fix

@@ -17,8 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/fix_index.h"
+#include "core/fix_query.h"
 #include "datagen/datasets.h"
 #include "query/plan_cache.h"
 #include "query/xpath_parser.h"
@@ -556,6 +558,67 @@ TEST_F(ConcurrentQueryTest, ReadersSeeOnlyCommittedGenerationsDuringInserts) {
     std::vector<NodeRef> results;
     ASSERT_TRUE(db->Query("main", xpaths[q], &results).ok());
     EXPECT_EQ(results, states[kExtraDocs][q]) << xpaths[q];
+  }
+}
+
+// Whole-document reads and the full scan share one per-document loop. With
+// a four-thread pool it cuts the document list into contiguous chunks and
+// concatenates their outputs in order, so results and counters must equal
+// the null-pool run exactly, with and without a results vector.
+TEST_F(ConcurrentQueryTest, DocumentLoopWithPoolMatchesSequential) {
+  Corpus corpus;
+  GenerateTcmd(&corpus, TcmdOptions{.seed = 3, .num_docs = 150});
+  IndexOptions options;
+  options.depth_limit = 0;
+  options.path = dir_ + "/d0.fix";
+  auto index = FixIndex::Build(&corpus, options, nullptr);
+  ASSERT_TRUE(index.ok()) << index.status();
+  ThreadPool pool(4);
+  FixQueryProcessor sequential(&corpus, &*index);
+  FixQueryProcessor pooled(&corpus, &*index, &pool);
+  auto expect_same = [](const ExecStats& a, const ExecStats& b) {
+    EXPECT_EQ(a.total_entries, b.total_entries);
+    EXPECT_EQ(a.candidates, b.candidates);
+    EXPECT_EQ(a.producing, b.producing);
+    EXPECT_EQ(a.result_count, b.result_count);
+    EXPECT_EQ(a.covered, b.covered);
+    EXPECT_EQ(a.used_index, b.used_index);
+    EXPECT_EQ(a.entries_scanned, b.entries_scanned);
+    EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+    EXPECT_EQ(a.random_reads, b.random_reads);
+    EXPECT_EQ(a.sequential_bytes, b.sequential_bytes);
+  };
+  for (const char* xpath :
+       {"//article[.//email]//section/p", "/article/prolog/authors/author",
+        "/article/*/title", "//*/email", "//keyword", "//nosuchlabel"}) {
+    SCOPED_TRACE(xpath);
+    auto parsed = ParseXPath(xpath);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    TwigQuery q = std::move(parsed).value();
+    q.ResolveLabels(corpus.labels());
+
+    std::vector<NodeRef> one;
+    std::vector<NodeRef> four;
+    auto a = sequential.Execute(q, &one);
+    auto b = pooled.Execute(q, &four);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(one, four);
+    expect_same(*a, *b);
+    auto counts_only = pooled.Execute(q, nullptr);
+    ASSERT_TRUE(counts_only.ok()) << counts_only.status();
+    expect_same(*a, *counts_only);
+
+    std::vector<NodeRef> scan_one;
+    std::vector<NodeRef> scan_four;
+    auto c = FullScanExecute(&corpus, q, &scan_one, index->num_entries());
+    auto d = FullScanExecute(&corpus, q, &scan_four, index->num_entries(),
+                             &pool);
+    ASSERT_TRUE(c.ok()) << c.status();
+    ASSERT_TRUE(d.ok()) << d.status();
+    EXPECT_EQ(scan_one, scan_four);
+    EXPECT_EQ(scan_one, one);
+    expect_same(*c, *d);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -189,6 +190,11 @@ struct FromCase {
   const char* name;
   std::function<void(Corpus*)> generate;
 };
+
+// Without this, gtest prints the case as raw bytes, which include the
+// address of `name` and so give the listed test a different name on every
+// run under address-space randomisation.
+void PrintTo(const FromCase& c, std::ostream* os) { *os << c.name; }
 
 class EvaluateFromTest : public ::testing::TestWithParam<FromCase> {};
 

@@ -37,7 +37,9 @@
 #      query identically (fixctl auto-detects the layout); the sharded
 #      layout must scrub clean as a directory; then one shard's page file
 #      is corrupted and the reopen must quarantine that shard alone —
-#      same answers, a degraded marker, and a now-failing scrub.
+#      same answers, a degraded marker, and a now-failing scrub. A second
+#      twig with an interior // (the whole-document doc-bitmap
+#      intersection) must match across layouts and under --threads 4.
 #  12. static-analysis: fixlint (the project-invariant analyzer, see
 #      docs/STATIC_ANALYSIS.md) over the whole tree plus the `lint` ctest
 #      label, and — when clang++ is installed — a FIX_THREAD_SAFETY=ON
@@ -238,6 +240,23 @@ build/examples/fixctl query "$SHARD_DIR/sharded" "$SHARD_XPATH" \
     | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
     > "$SHARD_DIR/sharded.txt"
 diff -u "$SHARD_DIR/flat.txt" "$SHARD_DIR/sharded.txt"
+# A twig with an interior // makes the whole-document lookup intersect
+# per-part candidate documents (the doc-bitmap path); it must have results
+# and answer identically in both layouts, and a 4-thread refinement of the
+# flat layout must print what the sequential one does.
+SHARD_XPATH2="//article[.//email]//section/p"
+build/examples/fixctl query "$SHARD_DIR/flat" "$SHARD_XPATH2" \
+    | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
+    > "$SHARD_DIR/flat2.txt"
+grep -qE '^[1-9][0-9]* result' "$SHARD_DIR/flat2.txt"
+build/examples/fixctl query "$SHARD_DIR/sharded" "$SHARD_XPATH2" \
+    | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
+    > "$SHARD_DIR/sharded2.txt"
+diff -u "$SHARD_DIR/flat2.txt" "$SHARD_DIR/sharded2.txt"
+build/examples/fixctl query "$SHARD_DIR/flat" "$SHARD_XPATH2" --threads 4 \
+    | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
+    > "$SHARD_DIR/flat2_threads.txt"
+diff -u "$SHARD_DIR/flat2.txt" "$SHARD_DIR/flat2_threads.txt"
 build/tools/fixdb_scrub --wal "$SHARD_DIR/sharded"
 dd if=/dev/zero of="$SHARD_DIR/sharded/gen-0/shard-0001/main.fix" \
     bs=1 seek=8192 count=4096 conv=notrunc status=none
