@@ -540,9 +540,9 @@ void RunRemote(const std::string& address) {
     FixQueryProcessor proc(corpus.get(), &*index);
     for (size_t i = 0; i < xpaths.size(); ++i) {
       TwigQuery q = Compile(corpus.get(), xpaths[i]);
-      // Database::Query runs the same refinement server-side (and
-      // ExecuteMany's deterministic merge reproduces it), so the comparison
-      // below is order-sensitive byte equality, not just set equality.
+      // fixd runs the same refinement server-side (a one-shard layout
+      // answers exactly as this index does), so the comparison below is
+      // order-sensitive byte equality, not just set equality.
       auto s = proc.Execute(q, &expected[i]);
       FIX_CHECK(s.ok());
     }

@@ -6,31 +6,27 @@
 // the parser and the help text live in fixctl_cli.{h,cc} and are kept in
 // sync by tests/fixctl_cli_test.cc.
 //
-// <dir> holds the corpus (labels/primary/manifest) and one index
-// ("main.fix"). Every subcommand is restartable: state lives on disk.
+// <dir> holds the corpus gen/load wrote (labels/primary/manifest) and,
+// once built, a sharded layout (shards.manifest, labels.master and one
+// Database directory per shard, each with its "main.fix" index). build
+// always writes a layout (one shard by default); query, stats and wal read
+// only layouts. Every subcommand is restartable: state lives on disk.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics_registry.h"
-#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/corpus.h"
 #include "core/fix_index.h"
-#include "core/fix_query.h"
-#include "core/metrics.h"
 #include "core/persist.h"
 #include "core/sharded_database.h"
 #include "datagen/datasets.h"
-#include "common/timer.h"
 #include "fixctl_cli.h"
-#include "query/xpath_parser.h"
 #include "server/client.h"
 #include "storage/wal.h"
 #include "xml/doc_stats.h"
@@ -97,8 +93,8 @@ int CmdLoad(const std::string& dir, const std::vector<std::string>& files) {
 
 int CmdBuild(const std::string& dir, int argc, char** argv) {
   const fixctl::CliCommand* cmd = fixctl::FindCommand("build");
-  fix::IndexOptions options;
-  uint32_t shards = 0;
+  fix::ShardedOptions sopts;
+  fix::IndexOptions& options = sopts.index;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (fixctl::FindFlag(*cmd, arg) == nullptr) {
@@ -118,8 +114,8 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
     } else if (arg == "--cache-mb" && i + 1 < argc) {
       options.feature_cache_mb = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<uint32_t>(std::atoi(argv[++i]));
-      if (shards == 0) {
+      sopts.shard_count = static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (sopts.shard_count == 0) {
         std::fprintf(stderr, "fixctl build: --shards must be >= 1\n");
         return Usage();
       }
@@ -127,39 +123,33 @@ int CmdBuild(const std::string& dir, int argc, char** argv) {
       return Usage();
     }
   }
-  auto corpus = fix::Corpus::Load(dir);
-  if (!corpus.ok()) return Fail(corpus.status());
-  if (shards > 0) {
-    // Sharded layout: partition the corpus across N hash shards in this
-    // same directory and build every shard's index in parallel. query and
-    // stats auto-detect the layout via shards.manifest.
-    fix::ShardedOptions sopts;
-    sopts.shard_count = shards;
-    sopts.index = options;
-    auto sdb = fix::ShardedDatabase::Partition(*corpus, dir, sopts);
-    if (!sdb.ok()) return Fail(sdb.status());
-    fix::BuildStats stats;
-    if (auto s = (*sdb)->BuildIndexes("main", &stats); !s.ok()) return Fail(s);
-    std::printf("built %u shard(s): %llu entries in %.3f s (B+-trees "
-                "%.1f MB); %llu oversized pattern(s)\n",
-                shards, static_cast<unsigned long long>(stats.entries),
-                stats.construction_seconds,
-                stats.btree_bytes / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(stats.oversized_patterns));
+  auto sdb = fix::ShardedDatabase::Open(dir, sopts);
+  if (sdb.ok()) {
+    // An existing layout: re-partition every document it holds (inserted
+    // ones included) into shard_count shards and build main with the new
+    // options, in a fresh layout generation.
+    if (auto s = (*sdb)->Rebalance(sopts.shard_count, "main"); !s.ok()) {
+      return Fail(s);
+    }
+    std::printf("rebuilt %u shard(s) at layout generation %llu\n",
+                (*sdb)->shard_count(),
+                static_cast<unsigned long long>((*sdb)->layout_generation()));
     return 0;
   }
-  options.path = dir + "/main.fix";
+  if (!sdb.status().IsNotFound()) return Fail(sdb.status());
+  // No layout yet: partition the corpus gen/load wrote in this directory
+  // and build every shard's index in parallel.
+  auto corpus = fix::Corpus::Load(dir);
+  if (!corpus.ok()) return Fail(corpus.status());
+  sdb = fix::ShardedDatabase::Partition(*corpus, dir, sopts);
+  if (!sdb.ok()) return Fail(sdb.status());
   fix::BuildStats stats;
-  auto index = fix::FixIndex::Build(&*corpus, options, &stats);
-  if (!index.ok()) return Fail(index.status());
-  std::printf("built %llu entries in %.3f s (B+-tree %.1f MB",
-              static_cast<unsigned long long>(stats.entries),
+  if (auto s = (*sdb)->BuildIndexes("main", &stats); !s.ok()) return Fail(s);
+  std::printf("built %u shard(s): %llu entries in %.3f s (B+-trees "
+              "%.1f MB); %llu oversized pattern(s)\n",
+              sopts.shard_count, static_cast<unsigned long long>(stats.entries),
               stats.construction_seconds,
-              stats.btree_bytes / (1024.0 * 1024.0));
-  if (options.clustered) {
-    std::printf(", copies %.1f MB", stats.clustered_bytes / (1024.0 * 1024.0));
-  }
-  std::printf("); %llu oversized pattern(s)\n",
+              stats.btree_bytes / (1024.0 * 1024.0),
               static_cast<unsigned long long>(stats.oversized_patterns));
   return 0;
 }
@@ -208,15 +198,29 @@ int CmdStatsRemote(const std::string& address) {
   return 0;
 }
 
-/// Sharded-layout query: open the layout, scatter the compiled plan to
-/// every shard, gather in doc order. --explain's candidate estimate is a
-/// single-index introspection and does not apply here.
-int CmdQuerySharded(const std::string& dir, const std::string& xpath,
-                    bool metrics, int threads) {
-  fix::ShardedOptions sopts;
-  sopts.scatter_threads = threads;
-  auto sdb = fix::ShardedDatabase::Open(dir, sopts);
+int CmdQuery(const std::string& dir, const std::string& xpath, bool explain,
+             bool metrics) {
+  auto sdb = fix::ShardedDatabase::Open(dir);
   if (!sdb.ok()) return Fail(sdb.status());
+  if (explain) {
+    // The compiled plan's label ids are valid on every shard (each shard's
+    // table mirrors the master), so the per-shard estimates add up.
+    auto query = (*sdb)->Compile(xpath);
+    if (!query.ok()) return Fail(query.status());
+    uint64_t estimate = 0;
+    uint64_t entries = 0;
+    for (uint32_t s = 0; s < (*sdb)->shard_count(); ++s) {
+      fix::FixIndex* index = (*sdb)->shard_db(s)->index("main");
+      if (index == nullptr) continue;  // quarantined: the leg full-scans
+      auto shard_estimate = index->EstimateCandidates(*query);
+      if (!shard_estimate.ok()) return Fail(shard_estimate.status());
+      estimate += *shard_estimate;
+      entries += index->num_entries();
+    }
+    std::printf("estimate: ~%llu candidate(s) of %llu entries\n",
+                static_cast<unsigned long long>(estimate),
+                static_cast<unsigned long long>(entries));
+  }
   std::vector<fix::NodeRef> results;
   auto stats = (*sdb)->Query("main", xpath, &results);
   if (!stats.ok()) return Fail(stats.status());
@@ -245,133 +249,60 @@ int CmdQuerySharded(const std::string& dir, const std::string& xpath,
   return 0;
 }
 
-int CmdQuery(const std::string& dir, const std::string& xpath, bool explain,
-             bool metrics, int threads) {
-  if (fix::IsShardedLayout(dir)) {
-    return CmdQuerySharded(dir, xpath, metrics, threads);
-  }
-  auto corpus = fix::Corpus::Load(dir);
-  if (!corpus.ok()) return Fail(corpus.status());
-  auto index = fix::FixIndex::Open(&*corpus, dir + "/main.fix");
-  if (!index.ok()) return Fail(index.status());
-  auto parsed = fix::ParseXPath(xpath);
-  if (!parsed.ok()) return Fail(parsed.status());
-  fix::TwigQuery query = std::move(parsed).value();
-  query.ResolveLabels(corpus->labels());
-
-  if (explain) {
-    auto estimate = index->EstimateCandidates(query);
-    if (estimate.ok()) {
-      std::printf("estimate: ~%llu candidate(s) of %llu entries\n",
-                  static_cast<unsigned long long>(*estimate),
-                  static_cast<unsigned long long>(index->num_entries()));
-    }
-  }
-  size_t n = threads > 0
-                 ? static_cast<size_t>(threads)
-                 : std::max(1u, std::thread::hardware_concurrency());
-  n = std::min<size_t>(n, 64);
-  std::unique_ptr<fix::ThreadPool> pool;
-  if (n > 1) pool = std::make_unique<fix::ThreadPool>(n);
-  fix::FixQueryProcessor processor(&*corpus, &*index, pool.get());
-  std::vector<fix::NodeRef> results;
-  auto stats = processor.Execute(query, &results);
-  if (!stats.ok()) return Fail(stats.status());
-  std::printf("%llu result(s); candidates %llu/%llu (pp %.2f%%), "
-              "lookup %.2f ms, refine %.2f ms%s\n",
-              static_cast<unsigned long long>(stats->result_count),
-              static_cast<unsigned long long>(stats->candidates),
-              static_cast<unsigned long long>(stats->total_entries),
-              stats->pruning_power() * 100, stats->lookup_ms,
-              stats->refine_ms,
-              stats->used_index ? "" : " [full-scan fallback]");
-  size_t shown = 0;
-  for (const fix::NodeRef& ref : results) {
-    if (shown++ == 10) {
-      std::printf("  ... (%zu more)\n", results.size() - 10);
-      break;
-    }
-    std::printf("  doc %u node %u <%s>\n", ref.doc_id, ref.node_id,
-                corpus->labels()
-                    ->Name(corpus->doc(ref.doc_id).label(ref.node_id))
-                    .c_str());
-  }
-  if (metrics) {
-    std::printf("\n%s",
-                fix::MetricsRegistry::Instance().HumanTable().c_str());
-  }
-  return 0;
-}
-
-/// Sharded-layout stats: shard map from the manifest, per-shard doc and
-/// health summary from the opened layout, then the registry snapshot.
-int CmdStatsSharded(const std::string& dir, bool prom) {
-  auto sdb = fix::ShardedDatabase::Open(dir);
-  if (!sdb.ok()) return Fail(sdb.status());
-  if (!prom) {
-    std::printf("sharded layout: %u shard(s), generation %llu, %llu "
-                "document(s)\n",
-                (*sdb)->shard_count(),
-                static_cast<unsigned long long>((*sdb)->layout_generation()),
-                static_cast<unsigned long long>((*sdb)->num_docs()));
-    std::vector<bool> degraded = (*sdb)->DegradedShards("main");
-    for (uint32_t s = 0; s < (*sdb)->shard_count(); ++s) {
-      fix::Database* db = (*sdb)->shard_db(s);
-      std::printf("  shard %04u: %zu doc(s)%s\n", s,
-                  db != nullptr ? db->corpus()->num_docs() : 0,
-                  s < degraded.size() && degraded[s]
-                      ? "  [index DEGRADED — full scan]"
-                      : "");
-    }
-  }
-  fix::MetricsRegistry& registry = fix::MetricsRegistry::Instance();
-  if (prom) {
-    std::printf("%s", registry.PrometheusText().c_str());
-  } else {
-    std::printf("\n%s", registry.HumanTable().c_str());
-  }
-  return 0;
-}
-
 int CmdStats(const std::string& dir, const std::string& format) {
   if (format != "human" && format != "prom") {
     std::fprintf(stderr, "fixctl stats: unknown format '%s'\n",
                  format.c_str());
     return Usage();
   }
-  if (fix::IsShardedLayout(dir)) {
-    return CmdStatsSharded(dir, format == "prom");
-  }
-  auto corpus = fix::Corpus::Load(dir);
-  if (!corpus.ok()) return Fail(corpus.status());
+  auto sdb = fix::ShardedDatabase::Open(dir);
+  if (!sdb.ok()) return Fail(sdb.status());
   const bool prom = format == "prom";
   if (!prom) {
+    // Corpus and index summary over every shard, then the shard map.
+    const uint32_t shards = (*sdb)->shard_count();
     fix::DocStats agg;
-    for (uint32_t d = 0; d < corpus->num_docs(); ++d) {
-      agg.Merge(ComputeDocStats(corpus->doc(d), *corpus->labels()));
+    uint64_t entries = 0;
+    const fix::FixIndex* any_index = nullptr;
+    for (uint32_t s = 0; s < shards; ++s) {
+      fix::Database* db = (*sdb)->shard_db(s);
+      fix::Corpus& corpus = *db->corpus();
+      for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+        agg.Merge(ComputeDocStats(corpus.doc(d), *corpus.labels()));
+      }
+      if (const fix::FixIndex* index = db->index("main")) {
+        entries += index->num_entries();
+        any_index = index;
+      }
     }
-    std::printf("documents: %zu\nelements:  %zu\ntext:      %zu node(s), "
+    std::printf("documents: %llu\nelements:  %zu\ntext:      %zu node(s), "
                 "%zu byte(s)\nmax depth: %d\nlabels:    %zu\n",
-                corpus->num_docs(), agg.elements, agg.text_nodes,
-                agg.text_bytes, agg.max_depth, corpus->labels()->size());
-  }
-  auto index = fix::FixIndex::Open(&*corpus, dir + "/main.fix");
-  if (!prom) {
-    if (index.ok()) {
+                static_cast<unsigned long long>((*sdb)->num_docs()),
+                agg.elements, agg.text_nodes, agg.text_bytes, agg.max_depth,
+                (*sdb)->shard_db(0)->corpus()->labels()->size());
+    if (any_index != nullptr) {
+      const fix::IndexOptions& o = any_index->options();
       std::printf("index:     %llu entries, depth limit %d%s%s\n",
-                  static_cast<unsigned long long>(index->num_entries()),
-                  index->options().depth_limit,
-                  index->options().clustered ? ", clustered" : "",
-                  index->options().value_beta > 0 ? ", values" : "");
+                  static_cast<unsigned long long>(entries), o.depth_limit,
+                  o.clustered ? ", clustered" : "",
+                  o.value_beta > 0 ? ", values" : "");
     } else {
-      std::printf("index:     (none built)\n");
+      std::printf("index:     (none attached)\n");
+    }
+    std::printf("layout:    %u shard(s), generation %llu\n", shards,
+                static_cast<unsigned long long>((*sdb)->layout_generation()));
+    std::vector<bool> degraded = (*sdb)->DegradedShards("main");
+    for (uint32_t s = 0; s < shards; ++s) {
+      std::printf("  shard %04u: %zu doc(s)%s\n", s,
+                  (*sdb)->shard_db(s)->corpus()->num_docs(),
+                  degraded[s] ? "  [index DEGRADED — full scan]" : "");
     }
   }
   // Live registry snapshot. In a fresh process this reflects the work this
-  // command just did (opening the corpus and index populates the PageIo
-  // and buffer-pool counters); a long-lived embedder sees its own history.
-  // Prometheus mode prints the exposition alone so the output scrapes
-  // cleanly.
+  // command just did (opening the shards and their indexes populates the
+  // PageIo and buffer-pool counters); a long-lived embedder sees its own
+  // history. Prometheus mode prints the exposition alone so the output
+  // scrapes cleanly.
   fix::MetricsRegistry& registry = fix::MetricsRegistry::Instance();
   if (prom) {
     std::printf("%s", registry.PrometheusText().c_str());
@@ -381,7 +312,9 @@ int CmdStats(const std::string& dir, const std::string& format) {
   return 0;
 }
 
-int CmdWal(const std::string& dir) {
+/// One shard's block of `fixctl wal`: its main.fix.wal against its sidecar
+/// meta.
+int PrintShardWal(const std::string& dir) {
   const std::string wal_path = dir + "/main.fix.wal";
   auto scan = fix::Wal::Inspect(wal_path);
   if (!scan.ok()) {
@@ -433,6 +366,15 @@ int CmdWal(const std::string& dir) {
   return 0;
 }
 
+int CmdWal(const std::string& dir) {
+  auto layout = fix::ReadShardLayout(dir);
+  if (!layout.ok()) return Fail(layout.status());
+  for (const std::string& shard_dir : layout->shard_dirs) {
+    if (int rc = PrintShardWal(dir + "/" + shard_dir); rc != 0) return rc;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -475,34 +417,24 @@ int main(int argc, char** argv) {
     const fixctl::CliCommand* spec = fixctl::FindCommand("query");
     bool explain = false;
     bool metrics = false;
-    int threads = 1;
     for (int i = 4; i < argc; ++i) {
       std::string arg = argv[i];
-      const std::string tprefix = "--threads=";
-      if (arg.rfind(tprefix, 0) == 0) {
-        threads = std::atoi(arg.c_str() + tprefix.size());
-        continue;
-      }
       if (arg.rfind("--remote=", 0) == 0) continue;  // consumed above
       if (fixctl::FindFlag(*spec, argv[i]) == nullptr) return Usage();
       if (arg == "--explain") explain = true;
       if (arg == "--metrics") metrics = true;
-      if (arg == "--threads") {
-        if (i + 1 >= argc) return Usage();
-        threads = std::atoi(argv[++i]);
-      }
       if (arg == "--remote") ++i;  // value consumed above
     }
     if (!remote.empty()) {
-      if (explain || metrics || threads != 1) {
+      if (explain || metrics) {
         std::fprintf(stderr,
-                     "fixctl query: --explain/--metrics/--threads are local "
-                     "index options; not valid with --remote\n");
+                     "fixctl query: --explain/--metrics are local index "
+                     "options; not valid with --remote\n");
         return Usage();
       }
       return CmdQueryRemote(remote, argv[3]);
     }
-    return CmdQuery(dir, argv[3], explain, metrics, threads);
+    return CmdQuery(dir, argv[3], explain, metrics);
   }
   if (cmd == "stats") {
     const fixctl::CliCommand* spec = fixctl::FindCommand("stats");

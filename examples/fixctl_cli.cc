@@ -15,15 +15,13 @@ const CliFlag kBuildFlags[] = {
                          "negatives under quotienting)"},
     {"--cache-mb", "M", "spectral feature cache budget in MiB (0 = off)"},
     {"--shards", "N",
-     "partition into N hash shards and build each shard's index in "
-     "parallel (sharded layout; query/stats auto-detect it)"},
+     "hash shards to partition into (default 1); on an existing layout, "
+     "re-partition into N and rebuild"},
 };
 
 const CliFlag kQueryFlags[] = {
     {"--explain", nullptr, "print the candidate estimate before executing"},
     {"--metrics", nullptr, "dump the metrics registry after the query"},
-    {"--threads", "N",
-     "parallelize candidate refinement over N threads (0 = all cores)"},
     {"--remote", "host:port",
      "execute on a running fixd server instead of opening <dir>"},
 };
@@ -40,15 +38,18 @@ const CliCommand kCommands[] = {
      "generate a synthetic corpus", nullptr, 0},
     {"load", "<dir> <file.xml>...", "load XML files into a corpus", nullptr,
      0},
-    {"build", "<dir>", "build the FIX index (main.fix)", kBuildFlags,
+    {"build", "<dir>",
+     "partition the corpus into a sharded layout and build index main on "
+     "every shard",
+     kBuildFlags,
      sizeof(kBuildFlags) / sizeof(kBuildFlags[0])},
     {"query", "<dir> \"<xpath>\"", "run a twig query through the index",
      kQueryFlags, sizeof(kQueryFlags) / sizeof(kQueryFlags[0])},
     {"stats", "<dir>", "corpus/index summary plus live metrics", kStatsFlags,
      sizeof(kStatsFlags) / sizeof(kStatsFlags[0])},
     {"wal", "<dir>",
-     "inspect the index write-ahead log (records, last committed "
-     "generation, torn tail)",
+     "inspect every shard's index write-ahead log (records, last "
+     "committed generation, torn tail)",
      nullptr, 0},
     {"ping", "<host:port>", "round-trip a PING against a fixd server",
      nullptr, 0},

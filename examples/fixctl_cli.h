@@ -14,7 +14,7 @@
 namespace fixctl {
 
 struct CliFlag {
-  const char* name;        ///< including leading dashes, e.g. "--threads"
+  const char* name;        ///< including leading dashes, e.g. "--shards"
   const char* value_name;  ///< nullptr for boolean flags
   const char* help;        ///< one-line description
 };

@@ -128,7 +128,7 @@ struct QueryRequest {
 
 struct QueryBatchRequest {
   std::string index;
-  uint32_t threads = 1;  ///< ExecuteMany fan-out requested by the client
+  uint32_t threads = 1;  ///< carried on the wire; fixd ignores it
   std::vector<std::string> xpaths;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <system_error>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
@@ -44,12 +43,6 @@ Gauge& OpenIndexes() {
       "fix.db.open_indexes", "indexes",
       "attached (non-quarantined) indexes across live databases");
   return *g;
-}
-Counter& BatchQueries() {
-  static Counter* c = MetricsRegistry::Instance().FindOrCreateCounter(
-      "fix.db.batch_queries", "ops",
-      "queries executed through Database::ExecuteMany");
-  return *c;
 }
 
 /// Renames `path` to `path + ".quarantined"` if it exists (best effort:
@@ -185,11 +178,9 @@ Status Database::UpgradeIndex(const std::string& name) {
   // with the options its own meta recorded — no quarantine, no corruption
   // event.
   Status upgraded = [&]() -> Status {
-    std::string buf;
-    FIX_ASSIGN_OR_RETURN(buf, ReadFile(IndexPath(name) + ".meta"));
-    IndexMeta meta;
-    FIX_ASSIGN_OR_RETURN(meta, DecodeIndexMeta(buf));
-    return RebuildIndex(name, meta.options).status();
+    IndexOptions options;
+    FIX_ASSIGN_OR_RETURN(options, RecordedOptions(name));
+    return RebuildIndex(name, options).status();
   }();
   if (upgraded.ok()) return Status::OK();
   // The old files stay exactly as they were, so the next Open retries the
@@ -326,6 +317,17 @@ Result<FixIndex*> Database::RebuildIndex(const std::string& name,
   return handle;
 }
 
+Result<IndexOptions> Database::RecordedOptions(const std::string& name) const {
+  if (std::shared_ptr<FixIndex> idx = SharedIndex(name)) return idx->options();
+  const std::string meta_path = IndexPath(name) + ".meta";
+  Result<std::string> buf = ReadFile(meta_path);
+  if (!buf.ok()) buf = ReadFile(meta_path + ".quarantined");
+  FIX_RETURN_IF_ERROR(buf.status());
+  IndexMeta meta;
+  FIX_ASSIGN_OR_RETURN(meta, DecodeIndexMeta(*buf));
+  return meta.options;
+}
+
 FixIndex* Database::index(const std::string& name) {
   ReaderMutexLock lock(mu_);
   for (auto& [n, idx] : indexes_) {
@@ -365,8 +367,7 @@ void Database::BumpDegradedQuery() {
 
 Result<ExecStats> Database::QueryInternal(const std::string& index_name,
                                           const TwigQuery& q,
-                                          std::vector<NodeRef>* results,
-                                          ThreadPool* pool) {
+                                          std::vector<NodeRef>* results) {
   bool is_degraded = false;
   std::shared_ptr<FixIndex> idx;
   {
@@ -385,14 +386,14 @@ Result<ExecStats> Database::QueryInternal(const std::string& index_name,
     BumpDegradedQuery();
     ExecStats stats;
     FIX_ASSIGN_OR_RETURN(stats, FullScanExecute(&corpus_, q, results,
-                                                /*total_entries=*/0, pool));
+                                                /*total_entries=*/0));
     stats.degraded = true;
     return stats;
   }
   if (idx == nullptr) {
     return Status::NotFound("no index named " + index_name);
   }
-  FixQueryProcessor processor(&corpus_, idx.get(), pool);
+  FixQueryProcessor processor(&corpus_, idx.get());
   Result<ExecStats> executed = processor.Execute(q, results);
   if (executed.ok()) return executed;
   if (executed.status().IsCorruption() || executed.status().IsIOError()) {
@@ -411,7 +412,7 @@ Result<ExecStats> Database::QueryInternal(const std::string& index_name,
     BumpDegradedQuery();
     ExecStats stats;
     FIX_ASSIGN_OR_RETURN(stats, FullScanExecute(&corpus_, q, results,
-                                                /*total_entries=*/0, pool));
+                                                /*total_entries=*/0));
     stats.degraded = true;
     return stats;
   }
@@ -423,40 +424,7 @@ Result<ExecStats> Database::Query(const std::string& index_name,
                                   std::vector<NodeRef>* results) {
   TwigQuery q;
   FIX_ASSIGN_OR_RETURN(q, Compile(xpath));
-  return QueryInternal(index_name, q, results, /*pool=*/nullptr);
-}
-
-Result<std::vector<Database::BatchQueryOutcome>> Database::ExecuteMany(
-    const std::string& index_name, const std::vector<std::string>& xpaths,
-    int threads) {
-  size_t n = threads > 0 ? static_cast<size_t>(threads)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  n = std::min<size_t>(n, 64);
-  std::unique_ptr<ThreadPool> pool;
-  if (n > 1) pool = std::make_unique<ThreadPool>(n);
-
-  // Queries run in order, each fanning its own refinement over the pool:
-  // per-document work units are disjoint and merge deterministically, so
-  // the batch's outcome is byte-identical across thread counts.
-  std::vector<BatchQueryOutcome> outcomes(xpaths.size());
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    BatchQueryOutcome& out = outcomes[i];
-    auto compiled = Compile(xpaths[i]);
-    if (!compiled.ok()) {
-      out.status = compiled.status();
-      continue;
-    }
-    auto executed =
-        QueryInternal(index_name, *compiled, &out.results, pool.get());
-    if (!executed.ok()) {
-      if (executed.status().IsNotFound()) return executed.status();
-      out.status = executed.status();
-      continue;
-    }
-    out.stats = std::move(executed).value();
-    BatchQueries().Increment();
-  }
-  return outcomes;
+  return QueryInternal(index_name, q, results);
 }
 
 }  // namespace fix

@@ -2,16 +2,16 @@
 // FIX indexes; parses XPath strings; routes queries through the best
 // applicable index (or a full scan). This is the API the examples use.
 //
-// Thread-safety: the read path is concurrent. Query, ExecuteMany, Compile,
-// IsDegraded, and health() may be called from any number of threads at once
-// — compiled plans come from a lock-striped PlanCache, index handles are
-// shared_ptrs looked up under a shared mutex (so a quarantine racing a
-// query can never free an index mid-probe), and the layers below follow
-// their own concurrent-read contracts (fix_index.h, btree.h,
-// buffer_pool.h). Everything that changes the set of indexes or documents
-// is writer-exclusive: Open, Save, Finalize, AddXml/AddDocument,
-// BuildIndex, AttachIndex, RebuildIndex must not overlap with each other or
-// with any read. Lock order (never acquire leftward while holding
+// Thread-safety: the read path is concurrent. Query, ExecuteCompiled,
+// Compile, IsDegraded, and health() may be called from any number of
+// threads at once — compiled plans come from a lock-striped PlanCache,
+// index handles are shared_ptrs looked up under a shared mutex (so a
+// quarantine racing a query can never free an index mid-probe), and the
+// layers below follow their own concurrent-read contracts (fix_index.h,
+// btree.h, buffer_pool.h). Everything that changes the set of indexes or
+// documents is writer-exclusive: Open, Save, Finalize, AddXml/AddDocument,
+// BuildIndex, AttachIndex, RebuildIndex must not overlap with each other
+// or with any read. Lock order (never acquire leftward while holding
 // rightward): Database::mu_ → health_mu_ / compile_mu_ / PlanCache shard →
 // FixIndex encoder mutex → BufferPool shard. See docs/ARCHITECTURE.md,
 // "Concurrent reads".
@@ -31,7 +31,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/corpus.h"
 #include "core/fix_index.h"
 #include "core/fix_query.h"
@@ -151,6 +150,15 @@ class Database {
                                                IndexOptions options,
                                                BuildStats* stats = nullptr);
 
+  /// The options index `name` was built with: the attached handle's, else
+  /// those its meta sidecar recorded (read from the quarantined copy when
+  /// the index was renamed aside). RebuildIndex(name, RecordedOptions(name))
+  /// rebuilds an index as it was.
+  /// @return NotFound/Corruption when no attached handle and no readable
+  ///         meta exist for `name`.
+  [[nodiscard]] Result<IndexOptions> RecordedOptions(
+      const std::string& name) const FIX_EXCLUDES(mu_);
+
   /// True when queries naming `name` are being answered by full scan
   /// because the index was quarantined as corrupt or stale, or its format
   /// upgrade at Open failed.
@@ -179,42 +187,17 @@ class Database {
                           const std::string& xpath,
                           std::vector<NodeRef>* results = nullptr);
 
-  /// One query's outcome within an ExecuteMany batch. `status` is per-query
-  /// (a ParseError in one XPath does not fail its batchmates); stats and
-  /// results are meaningful only when status.ok().
-  struct BatchQueryOutcome {
-    Status status;
-    ExecStats stats;
-    std::vector<NodeRef> results;
-  };
-
-  /// Executes a batch of XPath queries against the named index, fanning
-  /// candidate refinement out over an internal ThreadPool of `threads`
-  /// workers (0 = hardware concurrency; clamped to [1, 64]). Queries are
-  /// compiled and issued in order; each one's refinement parallelizes over
-  /// per-document work units, and the merged results are byte-identical to
-  /// what `threads = 1` (or Query) produces — determinism is the contract,
-  /// verified by test on all four datasets.
-  ///
-  /// @return one outcome per input XPath (same order), or NotFound when
-  ///         `index_name` is neither attached nor degraded.
-  [[nodiscard]] Result<std::vector<BatchQueryOutcome>> ExecuteMany(
-      const std::string& index_name, const std::vector<std::string>& xpaths,
-      int threads = 0);
-
-  /// Executes an already-compiled twig against the named index — the
-  /// scatter entry point ShardedDatabase uses so one plan compiled against
-  /// the master label table fans out to every shard without recompiling.
-  /// Same degradation semantics as Query; `pool` (optional, caller-owned)
-  /// parallelizes candidate refinement. The twig's label ids must have
-  /// been resolved against this database's label table or a table whose
-  /// ids are a superset mirror of it (sharded_database.h explains why the
-  /// mirror discipline makes that sound).
-  [[nodiscard]] Result<ExecStats> ExecuteCompiled(const std::string& index_name,
-                                                  const TwigQuery& q,
-                                                  std::vector<NodeRef>* results = nullptr,
-                                                  ThreadPool* pool = nullptr) {
-    return QueryInternal(index_name, q, results, pool);
+  /// Executes an already-compiled twig against the named index, on the
+  /// calling thread — the scatter entry point ShardedDatabase uses so one
+  /// plan compiled against the master label table fans out to every shard
+  /// without recompiling. Same degradation semantics as Query. The twig's
+  /// label ids must have been resolved against this database's label table
+  /// or a table whose ids are a superset mirror of it (sharded_database.h
+  /// explains why the mirror discipline makes that sound).
+  [[nodiscard]] Result<ExecStats> ExecuteCompiled(
+      const std::string& index_name, const TwigQuery& q,
+      std::vector<NodeRef>* results = nullptr) {
+    return QueryInternal(index_name, q, results);
   }
 
   /// Parses + resolves an XPath string without executing (for harnesses).
@@ -236,9 +219,9 @@ class Database {
   [[nodiscard]] Status AttachOrQuarantine(const std::string& name);
 
   /// Upgrades an index whose meta predates v7 by RebuildIndex with the
-  /// options read from that meta. If the rebuild fails the old files are
-  /// left in place (the next Open retries) and the name is marked degraded
-  /// without a quarantine.
+  /// options read from that meta (RecordedOptions). If the rebuild fails
+  /// the old files are left in place (the next Open retries) and the name
+  /// is marked degraded without a quarantine.
   [[nodiscard]] Status UpgradeIndex(const std::string& name)
       FIX_EXCLUDES(mu_, health_mu_);
 
@@ -250,12 +233,11 @@ class Database {
   void QuarantineIndex(const std::string& name, const Status& why)
       FIX_EXCLUDES(mu_, health_mu_);
 
-  /// The shared execution path behind Query and ExecuteMany: `q` is already
-  /// compiled; `pool` (may be null) parallelizes refinement.
+  /// The shared execution path behind Query and ExecuteCompiled: `q` is
+  /// already compiled.
   [[nodiscard]] Result<ExecStats> QueryInternal(const std::string& index_name,
                                                 const TwigQuery& q,
-                                                std::vector<NodeRef>* results,
-                                                ThreadPool* pool);
+                                                std::vector<NodeRef>* results);
 
   /// Looks up the attached index `name` under the shared lock; null when
   /// unknown or degraded.
@@ -266,7 +248,7 @@ class Database {
 
   std::string workdir_;
   Corpus corpus_;
-  /// Guards indexes_ and degraded_. Readers (Query/ExecuteMany/IsDegraded)
+  /// Guards indexes_ and degraded_. Readers (Query/ExecuteCompiled/IsDegraded)
   /// take it shared only long enough to copy a shared_ptr; quarantine and
   /// the writer-exclusive index mutations take it unique.
   // LOCK-ORDER: 6 Database::mu_

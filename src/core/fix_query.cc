@@ -1,7 +1,5 @@
 #include "core/fix_query.h"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/metrics_registry.h"
@@ -83,12 +81,18 @@ const QueryMetrics& GetQueryMetrics() {
   return m;
 }
 
-/// EvaluateDocuments' loop over positions [begin, end) of its list.
-void EvaluateRange(const Corpus& corpus, const TwigQuery& query,
-                   const std::vector<uint32_t>* docs, size_t begin,
-                   size_t end, ExecStats* stats,
-                   std::vector<NodeRef>* results) {
-  for (size_t i = begin; i < end; ++i) {
+/// The one per-document evaluation loop, shared by the full scan and
+/// whole-document (depth-0, unclustered) refinement: TwigMatcher::Evaluate
+/// over each document of `docs` in list order (every corpus document,
+/// ascending, when `docs` is null). Adds nodes_visited, result_count and
+/// producing (documents with >= 1 binding) to `stats` and appends the
+/// (doc, node) bindings to `results` (optional). Returns the number of
+/// documents evaluated.
+uint64_t EvaluateDocuments(const Corpus& corpus, const TwigQuery& query,
+                           const std::vector<uint32_t>* docs,
+                           ExecStats* stats, std::vector<NodeRef>* results) {
+  const size_t n = docs == nullptr ? corpus.num_docs() : docs->size();
+  for (size_t i = 0; i < n; ++i) {
     const uint32_t d = docs == nullptr ? static_cast<uint32_t>(i) : (*docs)[i];
     TwigMatcher matcher(&corpus.doc(d));
     const std::vector<NodeId> bindings = matcher.Evaluate(query);
@@ -97,47 +101,6 @@ void EvaluateRange(const Corpus& corpus, const TwigQuery& query,
     if (!bindings.empty()) ++stats->producing;
     if (results != nullptr) {
       for (NodeId b : bindings) results->push_back({d, b});
-    }
-  }
-}
-
-/// The one per-document evaluation loop, shared by the full scan and
-/// whole-document (depth-0, unclustered) refinement: TwigMatcher::Evaluate
-/// over each document of `docs` in list order (every corpus document,
-/// ascending, when `docs` is null). Adds nodes_visited, result_count and
-/// producing (documents with >= 1 binding) to `stats` and appends the
-/// (doc, node) bindings to `results` (optional). With a multi-thread
-/// `pool` the list is cut into contiguous chunks, each with its own output,
-/// concatenated in chunk order, so results and stats are byte-identical to
-/// the sequential loop. Returns the number of documents evaluated.
-uint64_t EvaluateDocuments(const Corpus& corpus, const TwigQuery& query,
-                           const std::vector<uint32_t>* docs, ThreadPool* pool,
-                           ExecStats* stats, std::vector<NodeRef>* results) {
-  const size_t n = docs == nullptr ? corpus.num_docs() : docs->size();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    EvaluateRange(corpus, query, docs, 0, n, stats, results);
-    return n;
-  }
-  // Contiguous chunks, a few per thread so that one large document cannot
-  // idle the pool, each with its own output; concatenating them in chunk
-  // order gives the sequential loop's results and sums.
-  struct Chunk {
-    ExecStats stats;
-    std::vector<NodeRef> results;
-  };
-  const size_t num_chunks = std::min(n, pool->num_threads() * 4);
-  std::vector<Chunk> chunks(num_chunks);
-  ParallelFor(pool, num_chunks, [&](size_t c) {
-    EvaluateRange(corpus, query, docs, n * c / num_chunks,
-                  n * (c + 1) / num_chunks, &chunks[c].stats,
-                  results == nullptr ? nullptr : &chunks[c].results);
-  });
-  for (const Chunk& c : chunks) {
-    stats->nodes_visited += c.stats.nodes_visited;
-    stats->result_count += c.stats.result_count;
-    stats->producing += c.stats.producing;
-    if (results != nullptr) {
-      results->insert(results->end(), c.results.begin(), c.results.end());
     }
   }
   return n;
@@ -201,9 +164,10 @@ Result<ExecStats> FixQueryProcessor::Execute(const TwigQuery& query,
   return stats;
 }
 
-void FixQueryProcessor::RefineDocGroup(
+Status FixQueryProcessor::RefineDocGroup(
     const TwigQuery& query, const std::vector<FixIndex::Candidate>& candidates,
-    size_t begin, size_t end, bool rooted, GroupOutcome* out) {
+    size_t begin, size_t end, bool rooted, ExecStats* stats,
+    TwigMatcher::PassStats* pass, std::vector<NodeRef>* results) {
   const IndexOptions& options = index_->options();
   const uint32_t doc_id = candidates[begin].key.ref.doc_id;
   const Document& doc = corpus_->doc(doc_id);
@@ -214,20 +178,12 @@ void FixQueryProcessor::RefineDocGroup(
       const FixIndex::Candidate& c = candidates[i];
       // Clustered refinement reads the subtree copy (sequential I/O — the
       // copies were laid out in key order) and matches on the copy.
-      auto record_or =
-          index_->clustered_store()->Read(RecordId{c.clustered_offset});
-      if (!record_or.ok()) {
-        out->status = record_or.status();
-        return;
-      }
-      std::string record = std::move(record_or).value();
-      out->sequential_bytes += record.size();
-      auto copy_or = DecodeDocument(record);
-      if (!copy_or.ok()) {
-        out->status = copy_or.status();
-        return;
-      }
-      Document copy = std::move(copy_or).value();
+      std::string record;
+      FIX_ASSIGN_OR_RETURN(record, index_->clustered_store()->Read(
+                                       RecordId{c.clustered_offset}));
+      stats->sequential_bytes += record.size();
+      Document copy;
+      FIX_ASSIGN_OR_RETURN(copy, DecodeDocument(record));
       TwigMatcher copy_matcher(&copy);
       std::vector<NodeId> bindings;
       if (doc_unit) {
@@ -240,13 +196,13 @@ void FixQueryProcessor::RefineDocGroup(
         }
         bindings = copy_matcher.EvaluateAt(copy.root_element(), query);
       }
-      out->nodes_visited += copy_matcher.nodes_visited();
+      stats->nodes_visited += copy_matcher.nodes_visited();
       if (!bindings.empty()) {
-        ++out->producing;
-        out->result_count += bindings.size();
+        ++stats->producing;
+        stats->result_count += bindings.size();
       }
     }
-    return;
+    return Status::OK();
   }
 
   // Unclustered: dereferencing the pointer into primary storage is one
@@ -254,23 +210,25 @@ void FixQueryProcessor::RefineDocGroup(
   // without issuing a syscall so that the timed path compares engines on
   // equal (in-memory) footing. See EXPERIMENTS.md for the I/O analysis.
   // One matcher pass answers the whole group, sorted and unique.
-  out->random_reads += end - begin;
+  stats->random_reads += end - begin;
   TwigMatcher matcher(&doc);
   std::vector<NodeId> contexts;
   contexts.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
     contexts.push_back(candidates[i].key.ref.node_id);
   }
-  TwigMatcher::PassStats pass;
+  TwigMatcher::PassStats group;
   std::vector<NodeId> bindings =
-      matcher.EvaluateFrom(contexts, query, rooted, &pass);
-  out->producing += pass.producing;
-  out->contexts += pass.contexts;
-  out->frontier += pass.frontier;
-  out->nodes_visited += matcher.nodes_visited();
-  out->result_count = bindings.size();
-  out->results.reserve(bindings.size());
-  for (NodeId b : bindings) out->results.push_back({doc_id, b});
+      matcher.EvaluateFrom(contexts, query, rooted, &group);
+  stats->producing += group.producing;
+  pass->contexts += group.contexts;
+  pass->frontier += group.frontier;
+  stats->nodes_visited += matcher.nodes_visited();
+  stats->result_count += bindings.size();
+  if (results != nullptr) {
+    for (NodeId b : bindings) results->push_back({doc_id, b});
+  }
+  return Status::OK();
 }
 
 Status FixQueryProcessor::RefineCandidates(
@@ -280,8 +238,7 @@ Status FixQueryProcessor::RefineCandidates(
   TraceSpan span("query.refine");
   const IndexOptions& options = index_->options();
   uint64_t docs = 0;
-  uint64_t contexts = 0;
-  uint64_t frontier = 0;
+  TwigMatcher::PassStats pass;
 
   if (options.depth_limit == 0 && !options.clustered) {
     // Whole-document candidates are the documents themselves, one entry
@@ -295,62 +252,36 @@ Status FixQueryProcessor::RefineCandidates(
       doc_ids.push_back(c.key.ref.doc_id);
     }
     stats->random_reads += candidates.size();
-    docs = EvaluateDocuments(*corpus_, query, &doc_ids, pool_, stats,
-                             results);
+    docs = EvaluateDocuments(*corpus_, query, &doc_ids, stats, results);
   } else {
     // Lookup hands the candidates over grouped by ascending doc id: each
-    // run is one matcher pass, whose results come out in node order, and a
-    // parallel work unit (documents are disjoint, so the in-order merge
-    // yields (doc, node) order, as the full scan does).
+    // run is one matcher pass whose results come out in node order, so
+    // appending run after run yields (doc, node) order, as the full scan
+    // does.
     const bool rooted = IsRootedQuery(query);
-    std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) per doc
     for (size_t i = 0; i < candidates.size();) {
       size_t j = i + 1;
       while (j < candidates.size() &&
              candidates[j].key.ref.doc_id == candidates[i].key.ref.doc_id) {
         ++j;
       }
-      groups.emplace_back(i, j);
+      FIX_RETURN_IF_ERROR(RefineDocGroup(query, candidates, i, j, rooted,
+                                         stats, &pass, results));
+      ++docs;
       i = j;
-    }
-    docs = groups.size();
-
-    std::vector<GroupOutcome> outcomes(groups.size());
-    ParallelFor(pool_, groups.size(), [&](size_t g) {
-      RefineDocGroup(query, candidates, groups[g].first, groups[g].second,
-                     rooted, &outcomes[g]);
-    });
-
-    size_t total_results = 0;
-    for (const GroupOutcome& o : outcomes) {
-      FIX_RETURN_IF_ERROR(o.status);
-      total_results += o.results.size();
-    }
-    if (results != nullptr) results->reserve(results->size() + total_results);
-    for (const GroupOutcome& o : outcomes) {
-      stats->nodes_visited += o.nodes_visited;
-      stats->producing += o.producing;
-      stats->result_count += o.result_count;
-      stats->random_reads += o.random_reads;
-      stats->sequential_bytes += o.sequential_bytes;
-      contexts += o.contexts;
-      frontier += o.frontier;
-      if (results != nullptr) {
-        results->insert(results->end(), o.results.begin(), o.results.end());
-      }
     }
   }
   span.AddAttr("docs", docs);
   span.AddAttr("nodes_visited", stats->nodes_visited);
   span.AddAttr("results", stats->result_count);
-  span.AddAttr("contexts", contexts);
-  span.AddAttr("frontier", frontier);
+  span.AddAttr("contexts", pass.contexts);
+  span.AddAttr("frontier", pass.frontier);
   return Status::OK();
 }
 
 Result<ExecStats> FullScanExecute(Corpus* corpus, const TwigQuery& query,
                                   std::vector<NodeRef>* results,
-                                  uint64_t total_entries, ThreadPool* pool,
+                                  uint64_t total_entries,
                                   const ExecStats* seed) {
   if (results != nullptr) results->clear();
   TraceSpan span("query.fullscan");
@@ -362,7 +293,7 @@ Result<ExecStats> FullScanExecute(Corpus* corpus, const TwigQuery& query,
   stats.candidates = stats.total_entries;  // nothing pruned
   Timer timer;
   const uint64_t docs =
-      EvaluateDocuments(*corpus, query, nullptr, pool, &stats, results);
+      EvaluateDocuments(*corpus, query, nullptr, &stats, results);
   stats.refine_ms = timer.ElapsedMillis();
   span.AddAttr("docs", docs);
   RecordExecStats(stats);
@@ -373,7 +304,7 @@ Result<ExecStats> FixQueryProcessor::FullScan(const TwigQuery& query,
                                               std::vector<NodeRef>* results,
                                               const ExecStats* seed) {
   return FullScanExecute(corpus_, query, results, index_->num_entries(),
-                         pool_, seed);
+                         seed);
 }
 
 }  // namespace fix

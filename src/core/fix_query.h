@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/corpus.h"
 #include "core/fix_index.h"
+#include "query/match.h"
 #include "query/twig_query.h"
 
 namespace fix {
@@ -63,17 +63,13 @@ void RecordExecStats(const ExecStats& stats);
 /// index is quarantined as corrupt). `total_entries` is only bookkeeping
 /// for the pruning-power stats; pass 0 when no index exists.
 ///
-/// `pool` (optional) fans the per-document matching out over a ThreadPool;
-/// results and stats are merged in document order, so the output is
-/// byte-identical to the sequential scan. `seed` (optional) carries
-/// lookup-side stats (lookup_ms, entries_scanned) measured before the
-/// caller decided to fall back — without it uncovered queries would report
-/// zero lookup cost.
+/// `seed` (optional) carries lookup-side stats (lookup_ms, entries_scanned)
+/// measured before the caller decided to fall back — without it uncovered
+/// queries would report zero lookup cost.
 [[nodiscard]] Result<ExecStats> FullScanExecute(Corpus* corpus,
                                                 const TwigQuery& query,
                                                 std::vector<NodeRef>* results,
                                                 uint64_t total_entries,
-                                                ThreadPool* pool = nullptr,
                                                 const ExecStats* seed = nullptr);
 
 /// Thread-safety: distinct FixQueryProcessor instances over the same
@@ -84,13 +80,10 @@ void RecordExecStats(const ExecStats& stats);
 /// to the caller's `results` vector.
 class FixQueryProcessor {
  public:
-  /// `pool` (optional, caller-owned, may be null) parallelizes candidate
-  /// refinement across per-document work units. With a null or single-thread
-  /// pool the exact sequential code path runs; with N threads the merged
-  /// results are byte-identical to the sequential order (candidate groups
-  /// are disjoint per document and merged in ascending doc id).
-  FixQueryProcessor(Corpus* corpus, FixIndex* index, ThreadPool* pool = nullptr)
-      : corpus_(corpus), index_(index), pool_(pool) {}
+  /// Refinement runs on the calling thread; parallelism across documents
+  /// comes from ShardedDatabase's one-thread-per-shard scatter.
+  FixQueryProcessor(Corpus* corpus, FixIndex* index)
+      : corpus_(corpus), index_(index) {}
 
   /// Runs the full query. `results` (optional) receives the deduplicated
   /// result-step bindings; it is filled only when refinement runs against
@@ -108,30 +101,19 @@ class FixQueryProcessor {
                             std::vector<NodeRef>* results = nullptr);
 
  private:
-  /// Refinement output of one per-document candidate group.
-  struct GroupOutcome {
-    Status status;
-    std::vector<NodeRef> results;
-    uint64_t nodes_visited = 0;
-    uint64_t producing = 0;
-    uint64_t result_count = 0;
-    uint64_t random_reads = 0;
-    uint64_t sequential_bytes = 0;
-    uint64_t contexts = 0;  ///< TwigMatcher::PassStats, summed
-    uint64_t frontier = 0;
-  };
-
   [[nodiscard]] Status RefineCandidates(const TwigQuery& query,
                           const std::vector<FixIndex::Candidate>& candidates,
                           ExecStats* stats, std::vector<NodeRef>* results);
 
   /// Refines the candidate run candidates[begin, end) — all of one
-  /// document — of a clustered or depth-limited index into `out`. Runs on
-  /// pool workers; touches only read-shared index state and `out`.
-  void RefineDocGroup(const TwigQuery& query,
-                      const std::vector<FixIndex::Candidate>& candidates,
-                      size_t begin, size_t end, bool rooted,
-                      GroupOutcome* out);
+  /// document — of a clustered or depth-limited index: adds its counters
+  /// to `stats` (and its matcher pass sizes to `pass`) and appends its
+  /// results, in node order, to `results` (optional).
+  [[nodiscard]] Status RefineDocGroup(
+      const TwigQuery& query,
+      const std::vector<FixIndex::Candidate>& candidates, size_t begin,
+      size_t end, bool rooted, ExecStats* stats,
+      TwigMatcher::PassStats* pass, std::vector<NodeRef>* results);
 
   [[nodiscard]] Result<ExecStats> FullScan(const TwigQuery& query,
                              std::vector<NodeRef>* results,
@@ -139,7 +121,6 @@ class FixQueryProcessor {
 
   Corpus* corpus_;
   FixIndex* index_;
-  ThreadPool* pool_;
 };
 
 }  // namespace fix

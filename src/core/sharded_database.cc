@@ -57,6 +57,12 @@ Counter& Rebalances() {
       "completed online shard split/rebalance operations");
   return *c;
 }
+Counter& BatchQueries() {
+  static Counter* c = MetricsRegistry::Instance().FindOrCreateCounter(
+      "fix.db.batch_queries", "ops",
+      "queries executed through ShardedDatabase::ExecuteMany");
+  return *c;
+}
 Gauge& OpenShards() {
   static Gauge* g = MetricsRegistry::Instance().FindOrCreateGauge(
       "fix.shard.open_shards", "shards",
@@ -170,6 +176,11 @@ bool IsShardedLayout(const std::string& workdir) {
 }
 
 Result<ShardLayout> ReadShardLayout(const std::string& workdir) {
+  if (!IsShardedLayout(workdir)) {
+    return Status::NotFound("no sharded layout at " + workdir + " (no " +
+                            kManifestName + "); run `fixctl build " +
+                            workdir + "`");
+  }
   std::string buf;
   FIX_ASSIGN_OR_RETURN(buf, ReadFile(workdir + "/" + kManifestName));
   return DecodeShardsManifest(buf);
@@ -459,9 +470,13 @@ Status ShardedDatabase::RebuildIndexes(const std::string& name) {
   const size_t n = shards.size();
   std::vector<Status> statuses(n);
   ParallelFor(pool_.get(), n, [&](size_t s) {
-    Result<FixIndex*> rebuilt = shards[s]->db->RebuildIndex(
-        name, OptionsForShard(static_cast<uint32_t>(s)));
-    statuses[s] = rebuilt.status();
+    Database* db = shards[s]->db.get();
+    Result<IndexOptions> recorded = db->RecordedOptions(name);
+    statuses[s] =
+        db->RebuildIndex(name, recorded.ok()
+                                   ? *recorded
+                                   : OptionsForShard(static_cast<uint32_t>(s)))
+            .status();
   });
   for (const Status& st : statuses) FIX_RETURN_IF_ERROR(st);
   return Status::OK();
@@ -501,8 +516,7 @@ Result<ExecStats> ShardedDatabase::ScatterGather(
     // commits don't (the COW protocol serves pinned readers throughout).
     ReaderMutexLock gate(shard.gate);
     Result<ExecStats> executed = shard.db->ExecuteCompiled(
-        index_name, q, results != nullptr ? &leg.results : nullptr,
-        /*pool=*/nullptr);
+        index_name, q, results != nullptr ? &leg.results : nullptr);
     if (!executed.ok()) {
       leg.status = executed.status();
       return;
@@ -583,11 +597,12 @@ Result<ExecStats> ShardedDatabase::Query(const std::string& index_name,
   return ScatterGather(index_name, q, results);
 }
 
-Result<std::vector<Database::BatchQueryOutcome>> ShardedDatabase::ExecuteMany(
-    const std::string& index_name, const std::vector<std::string>& xpaths) {
-  std::vector<Database::BatchQueryOutcome> outcomes(xpaths.size());
+Result<std::vector<ShardedDatabase::BatchQueryOutcome>>
+ShardedDatabase::ExecuteMany(const std::string& index_name,
+                             const std::vector<std::string>& xpaths) {
+  std::vector<BatchQueryOutcome> outcomes(xpaths.size());
   for (size_t i = 0; i < xpaths.size(); ++i) {
-    Database::BatchQueryOutcome& out = outcomes[i];
+    BatchQueryOutcome& out = outcomes[i];
     Result<TwigQuery> compiled = Compile(xpaths[i]);
     if (!compiled.ok()) {
       out.status = compiled.status();  // per-query: batchmates continue
@@ -596,19 +611,22 @@ Result<std::vector<Database::BatchQueryOutcome>> ShardedDatabase::ExecuteMany(
     Result<ExecStats> executed =
         ScatterGather(index_name, *compiled, &out.results);
     if (!executed.ok()) {
-      // Match Database::ExecuteMany: an unknown index fails the whole
-      // batch, anything else stays per-query.
+      // An unknown index fails the whole batch, anything else stays
+      // per-query.
       if (executed.status().IsNotFound()) return executed.status();
       out.status = executed.status();
       continue;
     }
     out.stats = std::move(executed).value();
+    BatchQueries().Increment();
   }
   return outcomes;
 }
 
 Result<uint32_t> ShardedDatabase::InsertXml(const std::string& index_name,
-                                            std::string_view xml) {
+                                            std::string_view xml,
+                                            uint64_t* generation) {
+  if (generation != nullptr) *generation = 0;
   ShardVector shards = SnapshotShards();
   std::shared_ptr<Shard> target;
   uint32_t gid = 0;
@@ -641,6 +659,7 @@ Result<uint32_t> ShardedDatabase::InsertXml(const std::string& index_name,
       return Status::NotFound("no index named " + index_name);
     }
     FIX_RETURN_IF_ERROR(idx->InsertDocument(local));
+    if (generation != nullptr) *generation = idx->generation();
   }
   ShardInserts().Increment();
   return gid;

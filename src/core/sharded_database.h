@@ -25,10 +25,12 @@
 // of the master and fails with Corruption when it is not.
 //
 // Thread-safety: Query / ExecuteMany / Compile / IsDegraded are concurrent
-// (any number of threads). Everything that changes the document set or the
-// shard layout — InsertXml, InsertMany, Rebalance, BuildIndexes,
-// RebuildIndexes — is writer-exclusive: callers serialize mutators (fixd
-// does so under Server::writer_mu_), while readers stay at full service.
+// (any number of threads). A query runs one leg per shard, each on one
+// thread; the scatter pool is the only fan-out. Everything that changes
+// the document set or the shard layout — InsertXml, InsertMany, Rebalance,
+// BuildIndexes, RebuildIndexes — is writer-exclusive: callers serialize
+// mutators (fixd does so under Server::writer_mu_), while readers stay at
+// full service.
 // Rebalance follows the COW single-writer + live-readers protocol: the new
 // layout is built at a fresh gen-<G+1> directory while the old shard
 // vector keeps answering, then published by one atomic swap; in-flight
@@ -97,7 +99,8 @@ struct ShardLayout {
 /// True when `workdir` holds a sharded layout (a shards.manifest file).
 bool IsShardedLayout(const std::string& workdir);
 
-/// Reads and validates workdir/shards.manifest.
+/// Reads and validates workdir/shards.manifest. NotFound (naming
+/// `fixctl build`) when the directory holds no manifest.
 [[nodiscard]] Result<ShardLayout> ReadShardLayout(const std::string& workdir);
 
 class ShardedDatabase {
@@ -127,7 +130,8 @@ class ShardedDatabase {
   /// labels, opens every shard Database (each shard attaches and audits
   /// its own indexes; damaged ones quarantine per shard), and verifies
   /// doc counts and label-table prefix consistency. options.shard_count
-  /// is ignored — the manifest is authoritative.
+  /// is ignored — the manifest is authoritative. NotFound when `workdir`
+  /// holds no shards.manifest.
   [[nodiscard]] static Result<std::unique_ptr<ShardedDatabase>> Open(
       const std::string& workdir, ShardedOptions options = {});
 
@@ -140,7 +144,9 @@ class ShardedDatabase {
 
   /// Online per-shard RebuildIndex — the recovery path out of a shard
   /// quarantine. Healthy shards rebuild too (zero degraded window each).
-  /// Writer-exclusive.
+  /// Each shard rebuilds with the options its index recorded
+  /// (Database::RecordedOptions); a shard with no record of `name` builds
+  /// it with OptionsForShard. Writer-exclusive.
   [[nodiscard]] Status RebuildIndexes(const std::string& name);
 
   /// Compiles, scatters to every shard, gathers in global doc-id order.
@@ -153,10 +159,20 @@ class ShardedDatabase {
                                         const std::string& xpath,
                                         std::vector<NodeRef>* results = nullptr);
 
+  /// One query's outcome within an ExecuteMany batch. `status` is per-query
+  /// (a ParseError in one XPath does not fail its batchmates); stats and
+  /// results are meaningful only when status.ok().
+  struct BatchQueryOutcome {
+    Status status;
+    ExecStats stats;
+    std::vector<NodeRef> results;
+  };
+
   /// Batch form: queries compile (once, via the shared PlanCache) and run
-  /// in order, each scattering across shards. Same per-query outcome
-  /// contract as Database::ExecuteMany.
-  [[nodiscard]] Result<std::vector<Database::BatchQueryOutcome>> ExecuteMany(
+  /// in order, each scattering across shards exactly as Query does.
+  /// @return one outcome per input XPath (same order), or NotFound when
+  ///         `index_name` is neither attached nor degraded.
+  [[nodiscard]] Result<std::vector<BatchQueryOutcome>> ExecuteMany(
       const std::string& index_name, const std::vector<std::string>& xpaths);
 
   /// Parses + resolves against the master label table through the shared
@@ -169,9 +185,12 @@ class ShardedDatabase {
   /// index name inserts into the corpus only). Only the
   /// target shard's readers pause (briefly, for the corpus append); every
   /// other shard is untouched. Writer-exclusive (callers serialize
-  /// mutators). Returns the global doc id.
+  /// mutators). Returns the global doc id; `generation` (optional) gets
+  /// the target shard's index B+-tree generation after the commit, or 0
+  /// when no index was committed (empty name, or a quarantined shard).
   [[nodiscard]] Result<uint32_t> InsertXml(const std::string& index_name,
-                                           std::string_view xml);
+                                           std::string_view xml,
+                                           uint64_t* generation = nullptr);
 
   /// Batched insert: documents are parsed and routed up front, then every
   /// target shard persists and index-commits its slice in parallel — the

@@ -46,7 +46,8 @@ class FixdClient {
   [[nodiscard]] Result<wire::QueryOutcome> Query(const std::string& index,
                                                  const std::string& xpath);
 
-  /// Executes a batch with server-side fan-out of `threads`. Whole-batch
+  /// Executes a batch. `threads` goes on the wire, and fixd ignores it: the
+  /// server fans each query out across its shards only. Whole-batch
   /// failures (unknown index, shed) map to Status; per-query failures
   /// stay typed inside each returned outcome.
   [[nodiscard]] Result<std::vector<wire::QueryOutcome>> QueryBatch(

@@ -1,5 +1,6 @@
-// fixd: the FIX query server binary. Opens a database directory built by
-// fixctl (gen + build), serves the wire protocol plus HTTP /stats and
+// fixd: the FIX query server binary. Opens a sharded layout built by
+// fixctl (gen + build; a directory without shards.manifest is refused),
+// serves the wire protocol plus HTTP /stats and
 // /healthz, and drains gracefully on SIGTERM/SIGINT. SIGHUP hot-reloads
 // the serving index. See docs/FIXD.md for the full operations manual.
 
@@ -9,12 +10,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/status.h"
-#include "core/database.h"
 #include "core/sharded_database.h"
 #include "server/fixd_server.h"
 
@@ -26,10 +28,11 @@ int Usage(const char* argv0) {
                "\n"
                "Serve a FIX database over the fixd wire protocol + HTTP.\n"
                "\n"
-               "  --dir DIR             database directory (fixctl gen/build "
-               "layout); required\n"
-               "  --index NAME          serving index for INSERT and SIGHUP "
-               "reload (default: main)\n"
+               "  --dir DIR             database directory holding a "
+               "shards.manifest (fixctl build);\n"
+               "                        required\n"
+               "  --index NAME          serving index SIGHUP reloads "
+               "(default: main)\n"
                "  --host HOST           bind address (default: 127.0.0.1)\n"
                "  --port PORT           bind port; 0 = kernel-assigned "
                "(default: 7133)\n"
@@ -145,40 +148,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // A directory carrying shards.manifest (fixctl build --shards) serves
-  // through the scatter-gather backend; anything else is the classic
-  // single-Database layout. Exactly one of the two stays open.
-  std::unique_ptr<fix::Database> db;
-  std::unique_ptr<fix::ShardedDatabase> sdb;
-  if (fix::IsShardedLayout(dir)) {
-    auto opened = fix::ShardedDatabase::Open(dir);
-    if (!opened.ok()) {
-      FIX_LOG(Error) << "fixd: cannot open sharded database at '" << dir
-                     << "': " << opened.status();
-      return 1;
-    }
-    sdb = std::move(opened).value();
-    FIX_LOG(Info) << "fixd: sharded layout, " << sdb->shard_count()
-                  << " shard(s), generation " << sdb->layout_generation();
-  } else {
-    auto opened = fix::Database::Open(dir);
-    if (!opened.ok()) {
-      FIX_LOG(Error) << "fixd: cannot open database at '" << dir
-                     << "': " << opened.status();
-      return 1;
-    }
-    db = std::move(opened).value();
-    if (!options.index.empty() && db->index(options.index) == nullptr &&
-        !db->IsDegraded(options.index)) {
-      FIX_LOG(Warning) << "fixd: serving index '" << options.index
-                       << "' is not attached; QUERY against it will fail "
-                          "until it is built (fixctl build) or inserted";
-    }
+  // Every served directory is a sharded layout (fixctl build writes one,
+  // with one shard by default); Open refuses a directory without
+  // shards.manifest with a NotFound that names `fixctl build <dir>`.
+  auto opened = fix::ShardedDatabase::Open(dir);
+  if (!opened.ok()) {
+    FIX_LOG(Error) << "fixd: cannot open database at '" << dir
+                   << "': " << opened.status();
+    return 1;
   }
+  std::unique_ptr<fix::ShardedDatabase> sdb = std::move(opened).value();
+  FIX_LOG(Info) << "fixd: " << sdb->shard_count() << " shard(s), generation "
+                << sdb->layout_generation();
 
-  fix::server::Server server =
-      sdb != nullptr ? fix::server::Server(sdb.get(), options)
-                     : fix::server::Server(db.get(), options);
+  fix::server::Server server(sdb.get(), options);
   fix::Status started = server.Start();
   if (!started.ok()) {
     FIX_LOG(Error) << "fixd: start failed: " << started;

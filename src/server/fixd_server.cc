@@ -123,11 +123,8 @@ struct Conn {
   bool response_ready FIX_GUARDED_BY(mu_) = false;
 };
 
-Server::Server(Database* db, ServerOptions options)
-    : db_(db), sdb_(nullptr), options_(std::move(options)) {}
-
 Server::Server(ShardedDatabase* sdb, ServerOptions options)
-    : db_(nullptr), sdb_(sdb), options_(std::move(options)) {}
+    : sdb_(sdb), options_(std::move(options)) {}
 
 Server::~Server() {
   if (started_.load()) {
@@ -192,12 +189,7 @@ Status Server::ReloadIndex() {
     return Status::NotSupported("fixd: no serving index configured");
   }
   MutexLock writer(writer_mu_);
-  if (sdb_ != nullptr) {
-    FIX_RETURN_IF_ERROR(sdb_->RebuildIndexes(options_.index));
-  } else {
-    auto rebuilt = db_->RebuildIndex(options_.index, options_.index_options);
-    if (!rebuilt.ok()) return rebuilt.status();
-  }
+  FIX_RETURN_IF_ERROR(sdb_->RebuildIndexes(options_.index));
   FIX_LOG(Info) << "fixd: index '" << options_.index << "' reloaded";
   return Status::OK();
 }
@@ -573,26 +565,17 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, uint8_t type,
         break;
       }
       std::vector<NodeRef> results;
-      ExecStats stats;
-      Status run;
-      {
-        ReaderMutexLock gate(gate_);
-        auto r = sdb_ != nullptr
-                     ? sdb_->Query(req.index, req.xpath, &results)
-                     : db_->Query(req.index, req.xpath, &results);
-        run = r.ok() ? Status::OK() : r.status();
-        if (r.ok()) stats = r.value();
-      }
-      if (!run.ok()) {
-        wire::EncodeErrorResponse(wire::CodeFromStatus(run), run.message(),
-                                  &body);
+      Result<ExecStats> stats = sdb_->Query(req.index, req.xpath, &results);
+      if (!stats.ok()) {
+        wire::EncodeErrorResponse(wire::CodeFromStatus(stats.status()),
+                                  stats.status().message(), &body);
         break;
       }
       wire::QueryOutcome out;
-      out.used_index = stats.used_index;
-      out.degraded = stats.degraded;
-      out.candidates = stats.candidates;
-      out.result_count = stats.result_count;
+      out.used_index = stats->used_index;
+      out.degraded = stats->degraded;
+      out.candidates = stats->candidates;
+      out.result_count = stats->result_count;
       out.results.reserve(results.size());
       for (const NodeRef& r : results) {
         out.results.push_back(wire::WireNodeRef{r.doc_id, r.node_id});
@@ -609,21 +592,10 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, uint8_t type,
                                   &body);
         break;
       }
-      // The client's thread request is advisory; clamp so one request
-      // cannot commandeer the host. ExecuteMany(threads=1) runs inline on
-      // this worker with no internal pool.
-      const int threads =
-          std::clamp(static_cast<int>(req.threads), 1, 8);
-      Result<std::vector<Database::BatchQueryOutcome>> batch =
-          Status::Internal("unreached");
-      {
-        ReaderMutexLock gate(gate_);
-        // The sharded path parallelizes per scatter leg through its own
-        // pool; the advisory thread count only shapes the unsharded path.
-        batch = sdb_ != nullptr
-                    ? sdb_->ExecuteMany(req.index, req.xpaths)
-                    : db_->ExecuteMany(req.index, req.xpaths, threads);
-      }
+      // The request's `threads` field is ignored: each query fans out
+      // one leg per shard over the scatter pool, nothing else.
+      Result<std::vector<ShardedDatabase::BatchQueryOutcome>> batch =
+          sdb_->ExecuteMany(req.index, req.xpaths);
       if (!batch.ok()) {
         wire::EncodeErrorResponse(wire::CodeFromStatus(batch.status()),
                                   batch.status().message(), &body);
@@ -631,7 +603,7 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, uint8_t type,
       }
       std::vector<wire::QueryOutcome> outs;
       outs.reserve(batch.value().size());
-      for (const Database::BatchQueryOutcome& b : batch.value()) {
+      for (const ShardedDatabase::BatchQueryOutcome& b : batch.value()) {
         wire::QueryOutcome out;
         if (!b.status.ok()) {
           out.code = wire::CodeFromStatus(b.status);
@@ -660,53 +632,19 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, uint8_t type,
                                   &body);
         break;
       }
+      // Route + commit inside ShardedDatabase, which pauses only the
+      // target shard's readers; writer_mu_ keeps one mutator at a time.
       wire::InsertResponse resp;
-      Status run = Status::OK();
-      if (sdb_ != nullptr) {
-        // Sharded path: route + commit inside ShardedDatabase, which
-        // gates only the target shard's readers — the server-wide gate_
-        // stays untouched so queries on other shards never pause.
+      Result<uint32_t> id = [&] {
         MutexLock writer(writer_mu_);
-        auto id = sdb_->InsertXml(req.index, req.xml);
-        if (!id.ok()) {
-          run = id.status();
-        } else {
-          resp.doc_id = id.value();
-          resp.generation = sdb_->layout_generation();
-        }
-      } else {
-        // One mutator at a time; the corpus mutation + save excludes
-        // readers (gate_ exclusive), the index commit below does not.
-        MutexLock writer(writer_mu_);
-        {
-          WriterMutexLock gate(gate_);
-          auto id = db_->AddXml(req.xml);
-          if (!id.ok()) {
-            run = id.status();
-          } else {
-            resp.doc_id = id.value();
-            // Persist the corpus before the index commits: a crash
-            // between the two leaves the index stale (quarantined and
-            // rebuilt on next open), never ahead of its documents.
-            run = db_->Save();
-          }
-        }
-        if (run.ok() && !req.index.empty()) {
-          FixIndex* index = db_->index(req.index);
-          if (index == nullptr) {
-            run = Status::NotFound("unknown or degraded index '" +
-                                   req.index + "'");
-          } else {
-            run = index->InsertDocument(resp.doc_id);
-            if (run.ok()) resp.generation = index->generation();
-          }
-        }
-      }
-      if (!run.ok()) {
-        wire::EncodeErrorResponse(wire::CodeFromStatus(run), run.message(),
-                                  &body);
+        return sdb_->InsertXml(req.index, req.xml, &resp.generation);
+      }();
+      if (!id.ok()) {
+        wire::EncodeErrorResponse(wire::CodeFromStatus(id.status()),
+                                  id.status().message(), &body);
         break;
       }
+      resp.doc_id = *id;
       span.AddAttr("doc_id", static_cast<uint64_t>(resp.doc_id));
       wire::EncodeInsertResponse(resp, &body);
       break;

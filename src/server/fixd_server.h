@@ -1,10 +1,12 @@
 // fixd: the long-running FIX query server. One event-loop thread (epoll,
 // or poll as fallback — see poller.h) owns every socket; a ThreadPool of
-// workers executes requests against the Database's concurrent read path
-// and WAL-backed write path. The wire protocol (common/wire.h) carries
-// QUERY / QUERY_BATCH / INSERT / STATS / PING; connections whose first
-// bytes look like HTTP instead get `GET /stats` (Prometheus text) and
-// `GET /healthz`. docs/FIXD.md is the operations manual.
+// workers executes requests against a ShardedDatabase's concurrent
+// scatter-gather read path and WAL-backed write path (a one-shard layout
+// answers exactly as a single Database would). The wire protocol
+// (common/wire.h) carries QUERY / QUERY_BATCH / INSERT / STATS / PING;
+// connections whose first bytes look like HTTP instead get `GET /stats`
+// (Prometheus text) and `GET /healthz`. docs/FIXD.md is the operations
+// manual.
 //
 // Concurrency model:
 //   * The loop thread is the only one that reads sockets, parses frames,
@@ -18,14 +20,13 @@
 //     past the bound, requests are answered immediately with the typed
 //     kOverloaded wire error — shed, never silently dropped or queued
 //     unboundedly.
-//   * Reads (QUERY, QUERY_BATCH, STATS) take `gate_` shared and run
-//     concurrently. INSERT serializes on `writer_mu_`, takes `gate_`
-//     exclusively only around the corpus mutation + save (the
-//     reader-excluding part of the Database contract), then commits the
-//     index entries copy-on-write while queries keep running.
-//     ReloadIndex (SIGHUP) also serializes on `writer_mu_`; the swap
-//     itself is the zero-degraded-window RebuildIndex path, so readers
-//     never notice.
+//   * Reads (QUERY, QUERY_BATCH, STATS) run concurrently with no server
+//     lock. INSERT serializes on `writer_mu_`; ShardedDatabase::InsertXml
+//     pauses only the target shard's readers, around its corpus append,
+//     then commits the index entries copy-on-write while queries keep
+//     running. ReloadIndex (SIGHUP) also serializes on `writer_mu_`; each
+//     shard's swap is the zero-degraded-window RebuildIndex path, so
+//     readers never notice.
 //   * Graceful drain (BeginDrain, wired to SIGTERM/SIGINT by fixd_main):
 //     the listener closes, in-flight requests finish and their responses
 //     flush, fresh requests on surviving connections get kShuttingDown,
@@ -34,9 +35,9 @@
 //     drain that exceeds drain_timeout_ms force-closes and reports it.
 //
 // Lock order (see docs/ARCHITECTURE.md): Server::writer_mu_ (1) →
-// Server::gate_ (2) → everything inside ShardedDatabase (3–5) and
-// Database (6+); Server::state_mu_ and Conn::mu_ are rank-11 leaves
-// acquired with nothing else held below rank 12 (metrics).
+// everything inside ShardedDatabase (3–5) and Database (6+);
+// Server::state_mu_ and Conn::mu_ are rank-11 leaves acquired with nothing
+// else held below rank 12 (metrics).
 
 #ifndef FIX_SERVER_FIXD_SERVER_H_
 #define FIX_SERVER_FIXD_SERVER_H_
@@ -55,7 +56,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/database.h"
 #include "core/index_options.h"
 #include "core/sharded_database.h"
 #include "server/poller.h"
@@ -82,10 +82,11 @@ struct ServerOptions {
   int write_timeout_ms = 10'000;
   /// BeginDrain force-closes whatever remains after this long.
   int drain_timeout_ms = 10'000;
-  /// The serving index: ReloadIndex's target, and the index INSERT
-  /// extends. Empty disables both.
+  /// The serving index: ReloadIndex's target. Empty disables reload.
   std::string index;
-  /// Options ReloadIndex rebuilds with (match the original build).
+  /// Ignored: ReloadIndex rebuilds every shard with the options its index
+  /// recorded. Kept only while perfbench/fixbench.cc still sets it; delete
+  /// it with that line.
   IndexOptions index_options;
   /// Use the poll(2) backend even where epoll is available (tests).
   bool force_poll = false;
@@ -96,14 +97,10 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `db` must outlive the server and must already be opened/populated.
-  Server(Database* db, ServerOptions options);
-
-  /// Sharded backend: requests scatter-gather across `sdb`'s shards
-  /// instead of hitting one Database. INSERT routes by document hash and
-  /// relies on ShardedDatabase's per-shard gating for reader exclusion
-  /// (gate_ stays shared-free on this path); writer_mu_ still serializes
-  /// mutators. `sdb` must outlive the server.
+  /// Requests scatter-gather across `sdb`'s shards. INSERT routes by
+  /// document hash and relies on ShardedDatabase's per-shard gating for
+  /// reader exclusion; writer_mu_ serializes mutators. `sdb` must outlive
+  /// the server and must already be opened.
   Server(ShardedDatabase* sdb, ServerOptions options);
 
   /// Stops (drain + join) if still running.
@@ -136,10 +133,11 @@ class Server {
     return WaitDrained();
   }
 
-  /// Rebuilds the serving index from the live corpus and hot-swaps it
-  /// (Database::RebuildIndex: zero degraded window, readers keep the old
-  /// handle until they finish). Serialized against INSERTs. Blocks for
-  /// the build; fixd_main calls it on SIGHUP.
+  /// Rebuilds the serving index on every shard from the live corpus, with
+  /// the options each shard's index recorded, and hot-swaps it
+  /// (ShardedDatabase::RebuildIndexes: zero degraded window, readers keep
+  /// the old handle until they finish). Serialized against INSERTs. Blocks
+  /// for the build; fixd_main calls it on SIGHUP.
   /// @return NotSupported when options.index is empty, else the rebuild's
   ///         status.
   [[nodiscard]] Status ReloadIndex() FIX_EXCLUDES(writer_mu_);
@@ -189,20 +187,13 @@ class Server {
   /// Writes one byte to the self-pipe so a blocked Wait returns.
   void Wake();
 
-  // Exactly one backend is non-null: a monolithic Database or a
-  // ShardedDatabase (fixd_main picks by layout auto-detection).
-  Database* const db_;
   ShardedDatabase* const sdb_;
   const ServerOptions options_;
 
   // Serializes mutators (INSERT, ReloadIndex) against each other; always
-  // acquired before gate_ and before any Database call.
+  // acquired before any ShardedDatabase call.
   // LOCK-ORDER: 1 Server::writer_mu_
   Mutex writer_mu_;
-  // Readers (queries, stats) hold it shared; INSERT holds it exclusive
-  // around the reader-excluding corpus mutation only.
-  // LOCK-ORDER: 2 Server::gate_
-  SharedMutex gate_;
 
   // Lifecycle handshake between Start/WaitDrained and the loop thread.
   // LOCK-ORDER: 11 Server::state_mu_

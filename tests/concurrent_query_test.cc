@@ -1,5 +1,6 @@
 // Concurrent read-path tests: many threads querying one Database against
-// single-threaded baselines, ExecuteMany determinism on all four generated
+// single-threaded baselines, ShardedDatabase::ExecuteMany (one scatter
+// thread per shard) against Database::Query on all four generated
 // datasets, sharded BufferPool fetches, and the PlanCache. These carry the
 // `concurrency` ctest label so CI runs them in both the Release and TSan
 // trees (tools/ci.sh).
@@ -17,10 +18,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/fix_index.h"
 #include "core/fix_query.h"
+#include "core/sharded_database.h"
 #include "datagen/datasets.h"
 #include "query/plan_cache.h"
 #include "query/xpath_parser.h"
@@ -145,10 +146,11 @@ void GenSmallTreebank(Corpus* c) {
   GenerateTreebank(c, o);
 }
 
-// ExecuteMany with a thread pool must be byte-identical to both its own
-// threads=1 mode and the plain sequential Query path, on every dataset
-// family — this is the determinism contract in database.h.
-TEST_F(ConcurrentQueryTest, ExecuteManyDeterministicAcrossDatasets) {
+// A query fans out only across shards: ShardedDatabase::ExecuteMany at 1
+// shard (legs inline) and at 4 (one scatter thread per shard) must answer
+// every query of every dataset family exactly as Database::Query over the
+// unsharded corpus does.
+TEST_F(ConcurrentQueryTest, ShardedExecuteManyMatchesQueryAcrossDatasets) {
   const DatasetCase cases[] = {
       {"tcmd", GenSmallTcmd, 0,
        {"/article/prolog/authors/author/name", "//author/contact/email",
@@ -180,42 +182,27 @@ TEST_F(ConcurrentQueryTest, ExecuteManyDeterministicAcrossDatasets) {
       ASSERT_TRUE(db.Query("main", xpaths[i], &sequential[i]).ok());
     }
 
-    auto one = db.ExecuteMany("main", xpaths, /*threads=*/1);
-    auto four = db.ExecuteMany("main", xpaths, /*threads=*/4);
-    ASSERT_TRUE(one.ok()) << one.status();
-    ASSERT_TRUE(four.ok()) << four.status();
-    ASSERT_EQ(one->size(), xpaths.size());
-    ASSERT_EQ(four->size(), xpaths.size());
-    for (size_t i = 0; i < xpaths.size(); ++i) {
-      SCOPED_TRACE(xpaths[i]);
-      ASSERT_TRUE((*one)[i].status.ok());
-      ASSERT_TRUE((*four)[i].status.ok());
-      EXPECT_EQ((*one)[i].results, sequential[i]);
-      EXPECT_EQ((*four)[i].results, sequential[i]);
-      EXPECT_EQ((*one)[i].stats.result_count, sequential[i].size());
-      EXPECT_EQ((*four)[i].stats.result_count, sequential[i].size());
+    for (uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(shards);
+      ShardedOptions sopts;
+      sopts.shard_count = shards;
+      sopts.index = options;
+      const std::string sdir = subdir + "/shards" + std::to_string(shards);
+      std::filesystem::create_directories(sdir);
+      auto sdb = ShardedDatabase::Partition(*db.corpus(), sdir, sopts);
+      ASSERT_TRUE(sdb.ok()) << sdb.status();
+      ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+      auto batch = (*sdb)->ExecuteMany("main", xpaths);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      ASSERT_EQ(batch->size(), xpaths.size());
+      for (size_t i = 0; i < xpaths.size(); ++i) {
+        SCOPED_TRACE(xpaths[i]);
+        ASSERT_TRUE((*batch)[i].status.ok()) << (*batch)[i].status;
+        EXPECT_EQ((*batch)[i].results, sequential[i]);
+        EXPECT_EQ((*batch)[i].stats.result_count, sequential[i].size());
+      }
     }
   }
-}
-
-// A parse failure in one batch entry must not fail its batchmates; an
-// unknown index name must fail the whole batch.
-TEST_F(ConcurrentQueryTest, ExecuteManyIsolatesPerQueryErrors) {
-  Database db(dir_);
-  ASSERT_TRUE(db.AddXml("<a><b><c/></b></a>").ok());
-  ASSERT_TRUE(db.Finalize().ok());
-  ASSERT_TRUE(db.BuildIndex("main", IndexOptions{}, nullptr).ok());
-
-  auto outcomes =
-      db.ExecuteMany("main", {"//a/b", "not an xpath", "//b/c"}, 2);
-  ASSERT_TRUE(outcomes.ok());
-  ASSERT_EQ(outcomes->size(), 3u);
-  EXPECT_TRUE((*outcomes)[0].status.ok());
-  EXPECT_EQ((*outcomes)[1].status.code(), StatusCode::kParseError);
-  EXPECT_TRUE((*outcomes)[2].status.ok());
-  EXPECT_EQ((*outcomes)[2].results.size(), 1u);
-
-  EXPECT_FALSE(db.ExecuteMany("nope", {"//a"}, 2).ok());
 }
 
 // The uncovered-query fallback must keep the lookup-phase stats it paid for
@@ -558,67 +545,6 @@ TEST_F(ConcurrentQueryTest, ReadersSeeOnlyCommittedGenerationsDuringInserts) {
     std::vector<NodeRef> results;
     ASSERT_TRUE(db->Query("main", xpaths[q], &results).ok());
     EXPECT_EQ(results, states[kExtraDocs][q]) << xpaths[q];
-  }
-}
-
-// Whole-document reads and the full scan share one per-document loop. With
-// a four-thread pool it cuts the document list into contiguous chunks and
-// concatenates their outputs in order, so results and counters must equal
-// the null-pool run exactly, with and without a results vector.
-TEST_F(ConcurrentQueryTest, DocumentLoopWithPoolMatchesSequential) {
-  Corpus corpus;
-  GenerateTcmd(&corpus, TcmdOptions{.seed = 3, .num_docs = 150});
-  IndexOptions options;
-  options.depth_limit = 0;
-  options.path = dir_ + "/d0.fix";
-  auto index = FixIndex::Build(&corpus, options, nullptr);
-  ASSERT_TRUE(index.ok()) << index.status();
-  ThreadPool pool(4);
-  FixQueryProcessor sequential(&corpus, &*index);
-  FixQueryProcessor pooled(&corpus, &*index, &pool);
-  auto expect_same = [](const ExecStats& a, const ExecStats& b) {
-    EXPECT_EQ(a.total_entries, b.total_entries);
-    EXPECT_EQ(a.candidates, b.candidates);
-    EXPECT_EQ(a.producing, b.producing);
-    EXPECT_EQ(a.result_count, b.result_count);
-    EXPECT_EQ(a.covered, b.covered);
-    EXPECT_EQ(a.used_index, b.used_index);
-    EXPECT_EQ(a.entries_scanned, b.entries_scanned);
-    EXPECT_EQ(a.nodes_visited, b.nodes_visited);
-    EXPECT_EQ(a.random_reads, b.random_reads);
-    EXPECT_EQ(a.sequential_bytes, b.sequential_bytes);
-  };
-  for (const char* xpath :
-       {"//article[.//email]//section/p", "/article/prolog/authors/author",
-        "/article/*/title", "//*/email", "//keyword", "//nosuchlabel"}) {
-    SCOPED_TRACE(xpath);
-    auto parsed = ParseXPath(xpath);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    TwigQuery q = std::move(parsed).value();
-    q.ResolveLabels(corpus.labels());
-
-    std::vector<NodeRef> one;
-    std::vector<NodeRef> four;
-    auto a = sequential.Execute(q, &one);
-    auto b = pooled.Execute(q, &four);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(one, four);
-    expect_same(*a, *b);
-    auto counts_only = pooled.Execute(q, nullptr);
-    ASSERT_TRUE(counts_only.ok()) << counts_only.status();
-    expect_same(*a, *counts_only);
-
-    std::vector<NodeRef> scan_one;
-    std::vector<NodeRef> scan_four;
-    auto c = FullScanExecute(&corpus, q, &scan_one, index->num_entries());
-    auto d = FullScanExecute(&corpus, q, &scan_four, index->num_entries(),
-                             &pool);
-    ASSERT_TRUE(c.ok()) << c.status();
-    ASSERT_TRUE(d.ok()) << d.status();
-    EXPECT_EQ(scan_one, scan_four);
-    EXPECT_EQ(scan_one, one);
-    expect_same(*c, *d);
   }
 }
 

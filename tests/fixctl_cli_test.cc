@@ -66,6 +66,8 @@ TEST(FixctlCliTest, QueryAndStatsFlags) {
   ASSERT_NE(query, nullptr);
   EXPECT_NE(fixctl::FindFlag(*query, "--explain"), nullptr);
   EXPECT_NE(fixctl::FindFlag(*query, "--metrics"), nullptr);
+  // A query fans out only across shards: no per-query refine pool.
+  EXPECT_EQ(fixctl::FindFlag(*query, "--threads"), nullptr);
   const fixctl::CliCommand* stats = fixctl::FindCommand("stats");
   ASSERT_NE(stats, nullptr);
   EXPECT_NE(fixctl::FindFlag(*stats, "--format"), nullptr);

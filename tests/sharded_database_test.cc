@@ -169,8 +169,8 @@ TEST_F(ShardedDatabaseTest, SharedPlanCacheServesAllShards) {
         << "shard " << s << " compiled on its own";
   }
 
-  // Per-query error isolation mirrors Database::ExecuteMany: a bad XPath
-  // fails only itself, an unknown index fails the whole batch.
+  // Per-query error isolation: a bad XPath fails only itself, an unknown
+  // index fails the whole batch.
   auto outcomes =
       (*sdb)->ExecuteMany("main", {"//author", "not an xpath", "//title"});
   ASSERT_TRUE(outcomes.ok());
@@ -270,6 +270,44 @@ TEST_F(ShardedDatabaseTest, QuarantineIsolatesTheDamagedShard) {
     ASSERT_TRUE(st.ok());
     EXPECT_FALSE(st->degraded);
     EXPECT_TRUE(st->used_index);
+  }
+}
+
+// RebuildIndexes rebuilds each shard with the options its index recorded,
+// not with the ShardedOptions the layout happens to be reopened with: a
+// healthy shard's from its attached handle, a quarantined shard's from its
+// renamed-aside meta.
+TEST_F(ShardedDatabaseTest, RebuildIndexesKeepsRecordedOptions) {
+  Database db(Subdir("src"));
+  GenTinyDblp(db.corpus());
+  ASSERT_TRUE(db.Finalize().ok());
+  const std::string sdir = Subdir("sharded");
+  {
+    ShardedOptions sopts;
+    sopts.shard_count = 2;
+    sopts.index.depth_limit = 3;
+    auto sdb = ShardedDatabase::Partition(*db.corpus(), sdir, sopts);
+    ASSERT_TRUE(sdb.ok()) << sdb.status();
+    ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+  }
+  {
+    std::fstream f(sdir + "/gen-0/shard-0001/main.fix",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(8192);
+    std::string garbage(4096, '\xee');
+    f.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
+    ASSERT_TRUE(f.good());
+  }
+  auto sdb = ShardedDatabase::Open(sdir);  // default options: depth 0
+  ASSERT_TRUE(sdb.ok()) << sdb.status();
+  ASSERT_EQ((*sdb)->DegradedShards("main"), (std::vector<bool>{false, true}));
+  ASSERT_TRUE((*sdb)->RebuildIndexes("main").ok());
+  EXPECT_FALSE((*sdb)->IsDegraded("main"));
+  for (uint32_t s = 0; s < 2; ++s) {
+    const FixIndex* index = (*sdb)->shard_db(s)->index("main");
+    ASSERT_NE(index, nullptr) << "shard " << s;
+    EXPECT_EQ(index->options().depth_limit, 3) << "shard " << s;
   }
 }
 

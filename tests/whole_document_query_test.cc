@@ -252,6 +252,47 @@ TEST_F(WholeDocumentQueryTest, LookupMatchesProbeIntersectionAndScan) {
   EXPECT_GT(pruned, 0u);
 }
 
+// Whole-document reads and the full scan share one per-document loop: a
+// depth-0 read answers as the scan does, and a read without a results
+// vector counts exactly what a read with one does.
+TEST_F(WholeDocumentQueryTest, DocumentLoopMatchesFullScan) {
+  Corpus corpus;
+  GenerateTcmd(&corpus, TcmdOptions{.seed = 3, .num_docs = 150});
+  IndexOptions options;
+  options.depth_limit = 0;
+  options.path = dir_ + "/d0.fix";
+  auto index = FixIndex::Build(&corpus, options, nullptr);
+  ASSERT_TRUE(index.ok()) << index.status();
+  FixQueryProcessor processor(&corpus, &*index);
+  for (const char* xpath :
+       {"//article[.//email]//section/p", "/article/prolog/authors/author",
+        "/article/*/title", "//*/email", "//keyword", "//nosuchlabel"}) {
+    SCOPED_TRACE(xpath);
+    auto parsed = ParseXPath(xpath);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    TwigQuery q = std::move(parsed).value();
+    q.ResolveLabels(corpus.labels());
+
+    std::vector<NodeRef> via_index;
+    auto read = processor.Execute(q, &via_index);
+    ASSERT_TRUE(read.ok()) << read.status();
+    auto counts_only = processor.Execute(q, nullptr);
+    ASSERT_TRUE(counts_only.ok()) << counts_only.status();
+    EXPECT_EQ(counts_only->candidates, read->candidates);
+    EXPECT_EQ(counts_only->producing, read->producing);
+    EXPECT_EQ(counts_only->result_count, read->result_count);
+    EXPECT_EQ(counts_only->nodes_visited, read->nodes_visited);
+    EXPECT_EQ(counts_only->random_reads, read->random_reads);
+
+    std::vector<NodeRef> via_scan;
+    auto scan = FullScanExecute(&corpus, q, &via_scan, index->num_entries());
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(via_scan, via_index);
+    EXPECT_EQ(scan->result_count, read->result_count);
+    EXPECT_EQ(scan->producing, read->producing);
+  }
+}
+
 // The bitmap's word edges: a multi-part query that keeps every TCMD
 // document keeps ids 63, 64, 127 and 128, the last two inserted after the
 // build.

@@ -24,22 +24,23 @@
 #      thread, so the feature-cache and build-determinism tests are not in
 #      it.
 #   8. the fixd server smoke: boot the real binary on a loopback port over
-#      the deterministic DBLP corpus, prove the wire path lossless with the
-#      bench_qps --remote parity sweep, probe /stats over real HTTP, then
-#      SIGTERM and require the clean-drain exit code (docs/FIXD.md).
+#      the deterministic DBLP corpus (the one-shard layout fixctl build
+#      writes), prove the wire path lossless with the bench_qps --remote
+#      parity sweep, probe /stats over real HTTP, then SIGTERM and require
+#      the clean-drain exit code (docs/FIXD.md); fixd must refuse a
+#      directory without shards.manifest, naming `fixctl build`.
 #   9. the concurrent-query stress test on its own, in both the Release and
 #      TSan trees: many threads against one Database, results checked
 #      against single-threaded baselines.
 #  10. fixdb_scrub over every index page file persist_test produced
 #      (FIX_PERSIST_TEST_DIR keeps the suite's output for this step).
 #  11. the shard-parity smoke + quarantine drill: the same deterministic
-#      corpus built monolithic and into four hash shards must answer a
-#      query identically (fixctl auto-detects the layout); the sharded
-#      layout must scrub clean as a directory; then one shard's page file
-#      is corrupted and the reopen must quarantine that shard alone —
-#      same answers, a degraded marker, and a now-failing scrub. A second
-#      twig with an interior // (the whole-document doc-bitmap
-#      intersection) must match across layouts and under --threads 4.
+#      corpus built into one and into four hash shards must answer a
+#      query identically; the four-shard layout must scrub clean as a
+#      directory; then one shard's page file is corrupted and the reopen
+#      must quarantine that shard alone — same answers, a degraded marker,
+#      and a now-failing scrub. A second twig with an interior // (the
+#      whole-document doc-bitmap intersection) must match across layouts.
 #  12. static-analysis: fixlint (the project-invariant analyzer, see
 #      docs/STATIC_ANALYSIS.md) over the whole tree plus the `lint` ctest
 #      label, and — when clang++ is installed — a FIX_THREAD_SAFETY=ON
@@ -191,6 +192,17 @@ if [ "$SRV_STATUS" -ne 0 ]; then
   exit 1
 fi
 grep -q '^fixd: drained cleanly$' "$SRV_DIR/fixd.out"
+# fixd serves only sharded layouts: a directory without shards.manifest
+# must be refused with a non-zero exit and a message naming the command
+# that builds one.
+mkdir "$SRV_DIR/bare"
+if build/src/server/fixd --dir "$SRV_DIR/bare" --port 0 \
+    >"$SRV_DIR/bare.out" 2>"$SRV_DIR/bare.err"; then
+  echo "error: fixd served a directory without shards.manifest" >&2
+  exit 1
+fi
+grep -q "no shards.manifest); run \`fixctl build $SRV_DIR/bare\`" \
+    "$SRV_DIR/bare.err"
 rm -rf "$SRV_DIR"
 SRV_DIR=""
 
@@ -216,47 +228,40 @@ build/tools/fixdb_scrub "${INDEX_FILES[@]}"
 
 echo "=== [11/13] Shard-parity smoke + quarantine drill ==="
 # The scatter-gather contract end to end through the real binaries: the
-# same deterministic corpus built monolithic and into four hash shards
-# must produce the identical result count and doc/node pairs (fixctl
-# auto-detects the layout from shards.manifest). fixdb_scrub must walk
-# the sharded directory clean. Then the drill: corrupt one shard's page
-# file, reopen — the damaged shard alone quarantines to its full scan,
-# the answers must not change, the output must carry the degraded
-# marker, and the scrub must now fail.
+# same deterministic corpus built into one shard (fixctl build's default)
+# and into four hash shards must produce the identical result count and
+# doc/node pairs. fixdb_scrub must walk the four-shard directory clean.
+# Then the drill: corrupt one shard's page file, reopen — the damaged
+# shard alone quarantines to its full scan, the answers must not change,
+# the output must carry the degraded marker, and the scrub must now fail.
 cmake --build build -j "$JOBS" --target fixctl fixdb_scrub
 SHARD_DIR="$(mktemp -d)"
-build/examples/fixctl gen "$SHARD_DIR/flat" tcmd
+build/examples/fixctl gen "$SHARD_DIR/one" tcmd
 build/examples/fixctl gen "$SHARD_DIR/sharded" tcmd
-build/examples/fixctl build "$SHARD_DIR/flat"
+build/examples/fixctl build "$SHARD_DIR/one"
 build/examples/fixctl build "$SHARD_DIR/sharded" --shards 4
 SHARD_XPATH="//author/contact/email"
 # Normalize both outputs to the comparable lines: the result count and
-# the printed doc/node pairs (the flat path also prints label names; the
-# -o extraction drops them).
-build/examples/fixctl query "$SHARD_DIR/flat" "$SHARD_XPATH" \
+# the printed doc/node pairs (the -o extraction drops the shard count).
+build/examples/fixctl query "$SHARD_DIR/one" "$SHARD_XPATH" \
     | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
-    > "$SHARD_DIR/flat.txt"
+    > "$SHARD_DIR/one.txt"
 build/examples/fixctl query "$SHARD_DIR/sharded" "$SHARD_XPATH" \
     | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
     > "$SHARD_DIR/sharded.txt"
-diff -u "$SHARD_DIR/flat.txt" "$SHARD_DIR/sharded.txt"
+diff -u "$SHARD_DIR/one.txt" "$SHARD_DIR/sharded.txt"
 # A twig with an interior // makes the whole-document lookup intersect
 # per-part candidate documents (the doc-bitmap path); it must have results
-# and answer identically in both layouts, and a 4-thread refinement of the
-# flat layout must print what the sequential one does.
+# and answer identically in both layouts.
 SHARD_XPATH2="//article[.//email]//section/p"
-build/examples/fixctl query "$SHARD_DIR/flat" "$SHARD_XPATH2" \
+build/examples/fixctl query "$SHARD_DIR/one" "$SHARD_XPATH2" \
     | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
-    > "$SHARD_DIR/flat2.txt"
-grep -qE '^[1-9][0-9]* result' "$SHARD_DIR/flat2.txt"
+    > "$SHARD_DIR/one2.txt"
+grep -qE '^[1-9][0-9]* result' "$SHARD_DIR/one2.txt"
 build/examples/fixctl query "$SHARD_DIR/sharded" "$SHARD_XPATH2" \
     | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
     > "$SHARD_DIR/sharded2.txt"
-diff -u "$SHARD_DIR/flat2.txt" "$SHARD_DIR/sharded2.txt"
-build/examples/fixctl query "$SHARD_DIR/flat" "$SHARD_XPATH2" --threads 4 \
-    | grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' \
-    > "$SHARD_DIR/flat2_threads.txt"
-diff -u "$SHARD_DIR/flat2.txt" "$SHARD_DIR/flat2_threads.txt"
+diff -u "$SHARD_DIR/one2.txt" "$SHARD_DIR/sharded2.txt"
 build/tools/fixdb_scrub --wal "$SHARD_DIR/sharded"
 dd if=/dev/zero of="$SHARD_DIR/sharded/gen-0/shard-0001/main.fix" \
     bs=1 seek=8192 count=4096 conv=notrunc status=none
@@ -265,7 +270,7 @@ build/examples/fixctl query "$SHARD_DIR/sharded" "$SHARD_XPATH" \
 grep -q 'shard(s) degraded' "$SHARD_DIR/degraded.out"
 grep -oE '^[0-9]+ result|doc [0-9]+ node [0-9]+' "$SHARD_DIR/degraded.out" \
     > "$SHARD_DIR/degraded.txt"
-diff -u "$SHARD_DIR/flat.txt" "$SHARD_DIR/degraded.txt"
+diff -u "$SHARD_DIR/one.txt" "$SHARD_DIR/degraded.txt"
 if build/tools/fixdb_scrub "$SHARD_DIR/sharded" >/dev/null 2>&1; then
   echo "error: fixdb_scrub passed a corrupted shard page file" >&2
   exit 1
