@@ -205,6 +205,36 @@ TEST_F(ConcurrentQueryTest, ShardedExecuteManyMatchesQueryAcrossDatasets) {
   }
 }
 
+// A parse failure in one batch entry must not fail its batchmates, on any
+// shard's scatter leg; an unknown index name must fail the whole batch.
+TEST_F(ConcurrentQueryTest, ExecuteManyIsolatesPerQueryErrors) {
+  std::filesystem::create_directories(dir_ + "/src");
+  Database db(dir_ + "/src");
+  ASSERT_TRUE(db.AddXml("<a><b><c/></b></a>").ok());
+  ASSERT_TRUE(db.AddXml("<a><b><c/><c/></b></a>").ok());
+  ASSERT_TRUE(db.Finalize().ok());
+
+  ShardedOptions sopts;
+  sopts.shard_count = 2;
+  const std::string sdir = dir_ + "/sharded";
+  std::filesystem::create_directories(sdir);
+  auto sdb = ShardedDatabase::Partition(*db.corpus(), sdir, sopts);
+  ASSERT_TRUE(sdb.ok()) << sdb.status();
+  ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+
+  auto outcomes =
+      (*sdb)->ExecuteMany("main", {"//a/b", "not an xpath", "//b/c"});
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+  ASSERT_EQ(outcomes->size(), 3u);
+  EXPECT_TRUE((*outcomes)[0].status.ok());
+  EXPECT_EQ((*outcomes)[0].results.size(), 2u);
+  EXPECT_EQ((*outcomes)[1].status.code(), StatusCode::kParseError);
+  EXPECT_TRUE((*outcomes)[2].status.ok());
+  EXPECT_EQ((*outcomes)[2].results.size(), 3u);
+
+  EXPECT_FALSE((*sdb)->ExecuteMany("nope", {"//a"}).ok());
+}
+
 // The uncovered-query fallback must keep the lookup-phase stats it paid for
 // (lookup_ms, entries scanned) instead of reporting a free full scan.
 TEST_F(ConcurrentQueryTest, FullScanFallbackKeepsLookupStats) {
