@@ -43,7 +43,21 @@ int Fail(const fix::Status& status) {
   return 1;
 }
 
+/// gen and load refuse a directory that already holds a layout: build
+/// rebalances a layout's own documents and never reads the top-level corpus
+/// again, so a corpus written there would be silently ignored.
+fix::Status CheckNoLayout(const std::string& dir) {
+  auto layout = fix::ReadShardLayout(dir);
+  if (layout.status().IsNotFound()) return fix::Status::OK();
+  if (!layout.ok()) return layout.status();
+  return fix::Status::InvalidArgument(
+      dir + " already holds a sharded layout, which `fixctl build` "
+            "rebalances without reading a new corpus; write the corpus to "
+            "a new directory");
+}
+
 int CmdGen(const std::string& dir, const std::string& kind, double scale) {
+  if (auto s = CheckNoLayout(dir); !s.ok()) return Fail(s);
   fix::Corpus corpus;
   if (kind == "tcmd") {
     fix::TcmdOptions o;
@@ -75,6 +89,7 @@ int CmdGen(const std::string& dir, const std::string& kind, double scale) {
 }
 
 int CmdLoad(const std::string& dir, const std::vector<std::string>& files) {
+  if (auto s = CheckNoLayout(dir); !s.ok()) return Fail(s);
   fix::Corpus corpus;
   for (const std::string& file : files) {
     auto xml = fix::ReadFile(file);
@@ -207,19 +222,27 @@ int CmdQuery(const std::string& dir, const std::string& xpath, bool explain,
     // table mirrors the master), so the per-shard estimates add up.
     auto query = (*sdb)->Compile(xpath);
     if (!query.ok()) return Fail(query.status());
+    // Best effort: a shard that cannot estimate drops the line, not the
+    // query.
     uint64_t estimate = 0;
     uint64_t entries = 0;
+    bool estimated = true;
     for (uint32_t s = 0; s < (*sdb)->shard_count(); ++s) {
       fix::FixIndex* index = (*sdb)->shard_db(s)->index("main");
       if (index == nullptr) continue;  // quarantined: the leg full-scans
       auto shard_estimate = index->EstimateCandidates(*query);
-      if (!shard_estimate.ok()) return Fail(shard_estimate.status());
+      if (!shard_estimate.ok()) {
+        estimated = false;
+        break;
+      }
       estimate += *shard_estimate;
       entries += index->num_entries();
     }
-    std::printf("estimate: ~%llu candidate(s) of %llu entries\n",
-                static_cast<unsigned long long>(estimate),
-                static_cast<unsigned long long>(entries));
+    if (estimated) {
+      std::printf("estimate: ~%llu candidate(s) of %llu entries\n",
+                  static_cast<unsigned long long>(estimate),
+                  static_cast<unsigned long long>(entries));
+    }
   }
   std::vector<fix::NodeRef> results;
   auto stats = (*sdb)->Query("main", xpath, &results);
@@ -240,7 +263,10 @@ int CmdQuery(const std::string& dir, const std::string& xpath, bool explain,
       std::printf("  ... (%zu more)\n", results.size() - 10);
       break;
     }
-    std::printf("  doc %u node %u\n", ref.doc_id, ref.node_id);
+    auto label = (*sdb)->NodeLabel(ref);
+    if (!label.ok()) return Fail(label.status());
+    std::printf("  doc %u node %u <%s>\n", ref.doc_id, ref.node_id,
+                label->c_str());
   }
   if (metrics) {
     std::printf("\n%s",

@@ -472,6 +472,10 @@ Status ShardedDatabase::RebuildIndexes(const std::string& name) {
   ParallelFor(pool_.get(), n, [&](size_t s) {
     Database* db = shards[s]->db.get();
     Result<IndexOptions> recorded = db->RecordedOptions(name);
+    if (!recorded.ok() && !recorded.status().IsNotFound()) {
+      statuses[s] = recorded.status();  // an unreadable record: no guessing
+      return;
+    }
     statuses[s] =
         db->RebuildIndex(name, recorded.ok()
                                    ? *recorded
@@ -480,6 +484,25 @@ Status ShardedDatabase::RebuildIndexes(const std::string& name) {
   });
   for (const Status& st : statuses) FIX_RETURN_IF_ERROR(st);
   return Status::OK();
+}
+
+Result<std::string> ShardedDatabase::NodeLabel(const NodeRef& ref) const {
+  ShardVector shards = SnapshotShards();
+  const Shard& shard =
+      *shards[RouteDoc(ref.doc_id, static_cast<uint32_t>(shards.size()))];
+  ReaderMutexLock gate(shard.gate);
+  const std::vector<uint32_t>& globals = shard.to_global;
+  auto it = std::lower_bound(globals.begin(), globals.end(), ref.doc_id);
+  const Corpus& corpus = *shard.db->corpus();
+  const Document* doc =
+      it != globals.end() && *it == ref.doc_id
+          ? &corpus.doc(static_cast<uint32_t>(it - globals.begin()))
+          : nullptr;
+  if (doc == nullptr || ref.node_id >= doc->num_nodes()) {
+    return Status::NotFound("no node " + std::to_string(ref.node_id) +
+                            " in doc " + std::to_string(ref.doc_id));
+  }
+  return corpus.labels().Name(doc->label(ref.node_id));
 }
 
 Result<TwigQuery> ShardedDatabase::Compile(const std::string& xpath) {

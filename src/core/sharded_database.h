@@ -175,6 +175,10 @@ class ShardedDatabase {
   [[nodiscard]] Result<std::vector<BatchQueryOutcome>> ExecuteMany(
       const std::string& index_name, const std::vector<std::string>& xpaths);
 
+  /// The element label of a result node (`ref.doc_id` global), read from
+  /// the shard that owns the document. NotFound for an unknown node.
+  [[nodiscard]] Result<std::string> NodeLabel(const NodeRef& ref) const;
+
   /// Parses + resolves against the master label table through the shared
   /// PlanCache — one compiled plan serves every shard's scatter leg.
   [[nodiscard]] Result<TwigQuery> Compile(const std::string& xpath);

@@ -85,8 +85,8 @@ struct ServerOptions {
   /// The serving index: ReloadIndex's target. Empty disables reload.
   std::string index;
   /// Ignored: ReloadIndex rebuilds every shard with the options its index
-  /// recorded. Kept only while perfbench/fixbench.cc still sets it; delete
-  /// it with that line.
+  /// recorded. Kept only while perfbench/fixbench.cc still sets it; set it
+  /// nowhere else, and delete it with that line.
   IndexOptions index_options;
   /// Use the poll(2) backend even where epoll is available (tests).
   bool force_poll = false;

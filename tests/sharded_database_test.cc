@@ -311,6 +311,69 @@ TEST_F(ShardedDatabaseTest, RebuildIndexesKeepsRecordedOptions) {
   }
 }
 
+// A shard whose index record exists but cannot be read is an error for
+// RebuildIndexes, never a rebuild with the reopen's default options.
+TEST_F(ShardedDatabaseTest, RebuildIndexesRefusesAnUnreadableRecord) {
+  Database db(Subdir("src"));
+  GenTinyDblp(db.corpus());
+  ASSERT_TRUE(db.Finalize().ok());
+  const std::string sdir = Subdir("sharded");
+  {
+    ShardedOptions sopts;
+    sopts.shard_count = 2;
+    sopts.index.depth_limit = 3;
+    auto sdb = ShardedDatabase::Partition(*db.corpus(), sdir, sopts);
+    ASSERT_TRUE(sdb.ok()) << sdb.status();
+    ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+  }
+  {
+    std::ofstream f(sdir + "/gen-0/shard-0001/main.fix.meta",
+                    std::ios::binary | std::ios::trunc);
+    f << "not an index meta";
+    ASSERT_TRUE(f.good());
+  }
+  auto sdb = ShardedDatabase::Open(sdir);  // default options: depth 0
+  ASSERT_TRUE(sdb.ok()) << sdb.status();
+  ASSERT_EQ((*sdb)->DegradedShards("main"), (std::vector<bool>{false, true}));
+  EXPECT_FALSE((*sdb)->RebuildIndexes("main").ok());
+  EXPECT_EQ((*sdb)->DegradedShards("main"), (std::vector<bool>{false, true}));
+  EXPECT_EQ((*sdb)->shard_db(1)->index("main"), nullptr);
+}
+
+// A result row's label, read through the shard that owns the document,
+// is the one the unsharded corpus holds; inserted documents resolve too.
+TEST_F(ShardedDatabaseTest, NodeLabelReadsTheOwningShard) {
+  Database db(Subdir("src"));
+  GenTinyXMark(db.corpus());
+  ASSERT_TRUE(db.Finalize().ok());
+  ShardedOptions sopts;
+  sopts.shard_count = 3;
+  auto sdb = ShardedDatabase::Partition(*db.corpus(), Subdir("sharded"), sopts);
+  ASSERT_TRUE(sdb.ok()) << sdb.status();
+  ASSERT_TRUE((*sdb)->BuildIndexes("main").ok());
+  const Corpus& source = *db.corpus();
+  for (const char* xpath : {"//person/name", "//item/mailbox/mail"}) {
+    SCOPED_TRACE(xpath);
+    std::vector<NodeRef> got;
+    ASSERT_TRUE((*sdb)->Query("main", xpath, &got).ok());
+    ASSERT_FALSE(got.empty());
+    for (const NodeRef& ref : got) {
+      auto label = (*sdb)->NodeLabel(ref);
+      ASSERT_TRUE(label.ok()) << label.status();
+      EXPECT_EQ(*label, source.labels().Name(
+                            source.doc(ref.doc_id).label(ref.node_id)));
+    }
+  }
+  auto id = (*sdb)->InsertXml("main", "<labelprobe><leaf/></labelprobe>");
+  ASSERT_TRUE(id.ok()) << id.status();
+  // Node 0 is the document root; <labelprobe> is node 1, <leaf> node 2.
+  auto label = (*sdb)->NodeLabel(NodeRef{*id, 2});
+  ASSERT_TRUE(label.ok()) << label.status();
+  EXPECT_EQ(*label, "leaf");
+  EXPECT_TRUE((*sdb)->NodeLabel(NodeRef{*id + 1, 0}).status().IsNotFound());
+  EXPECT_TRUE((*sdb)->NodeLabel(NodeRef{*id, 3}).status().IsNotFound());
+}
+
 // Per-tenant shard overrides (sound_probe on one shard, λ₂ pruning on
 // another) change per-shard cost profiles, never answers.
 TEST_F(ShardedDatabaseTest, PerShardOptionOverridesKeepParity) {

@@ -41,6 +41,8 @@
 #      must quarantine that shard alone — same answers, a degraded marker,
 #      and a now-failing scrub. A second twig with an interior // (the
 #      whole-document doc-bitmap intersection) must match across layouts.
+#      `fixctl gen` over a built layout must fail rather than write a
+#      corpus that build would never read.
 #  12. static-analysis: fixlint (the project-invariant analyzer, see
 #      docs/STATIC_ANALYSIS.md) over the whole tree plus the `lint` ctest
 #      label, and — when clang++ is installed — a FIX_THREAD_SAFETY=ON
@@ -240,6 +242,15 @@ build/examples/fixctl gen "$SHARD_DIR/one" tcmd
 build/examples/fixctl gen "$SHARD_DIR/sharded" tcmd
 build/examples/fixctl build "$SHARD_DIR/one"
 build/examples/fixctl build "$SHARD_DIR/sharded" --shards 4
+# gen (and load) must refuse a directory that holds a layout: build would
+# rebalance the layout's own documents and never read the new corpus, so
+# the queries below would silently answer from the old one.
+if build/examples/fixctl gen "$SHARD_DIR/one" dblp \
+    2> "$SHARD_DIR/regen.err"; then
+  echo "error: fixctl gen wrote a corpus under a built layout" >&2
+  exit 1
+fi
+grep -q 'already holds a sharded layout' "$SHARD_DIR/regen.err"
 SHARD_XPATH="//author/contact/email"
 # Normalize both outputs to the comparable lines: the result count and
 # the printed doc/node pairs (the -o extraction drops the shard count).
